@@ -2,7 +2,6 @@
 
 from dataclasses import dataclass
 
-from . import intmat
 from .errors import InternalInvariantError
 
 
@@ -44,29 +43,3 @@ class AbelianInvariants:
             parts.append(f"Z^{self.rank}")
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-def trivial_group():
-    return AbelianInvariants(0, ())
-
-
-def free_group(rank):
-    return AbelianInvariants(rank, ())
-
-
-def from_pair(rank, torsion):
-    return AbelianInvariants(rank, tuple(torsion))
-
-
-def cokernel(a, ncols=None):
-    """Invariants of ``Z^m / column-lattice(a)``."""
-    rank, torsion = intmat.cokernel_invariants(a, ncols=ncols)
-    return AbelianInvariants(rank, tuple(torsion))
-
-
-def quotient(span, sub, span_cols=None, sub_cols=None):
-    """Invariants of ``lattice(span)/lattice(sub)`` (columns, sub inside span)."""
-    rank, torsion = intmat.quotient_invariants(
-        span, sub, span_cols=span_cols, sub_cols=sub_cols
-    )
-    return AbelianInvariants(rank, tuple(torsion))

@@ -84,6 +84,7 @@ def _mobius(d):
     return result
 
 
+@lru_cache(maxsize=None)
 def witt_rank(k, n):
     """Rank of the weight-n part of the free Lie ring on k generators:
     (1/n) * sum over d | n of mu(d) * k^(n/d)."""
@@ -98,7 +99,10 @@ def witt_rank(k, n):
     return total // n
 
 
+@lru_cache(maxsize=None)
 def total_hall_rank(k, n):
+    """Total Hall rank of the free class-n group on k generators: the
+    Witt ranks of weights 1..n summed."""
     return sum(witt_rank(k, w) for w in range(1, n + 1))
 
 
@@ -203,10 +207,6 @@ def _element(k, weight, acc):
         sorted(((t, c) for t, c in acc.items() if c), key=lambda x: tree_key(x[0]))
     )
     return LieElement(k, weight, coeffs)
-
-
-def zero_element(k, weight):
-    return LieElement(k, weight, ())
 
 
 def lie_normalize(terms, k, n):

@@ -24,24 +24,6 @@ class SimplicialAbelianGroup:
         self._faces = {}
         self._degens = {}
 
-    @classmethod
-    def from_matrices(cls, ranks, faces, degeneracies=None, name=""):
-        """Finite presentation: ``faces[q][i]`` maps degree q to q-1; degrees
-        above ``len(ranks) - 1`` are zero."""
-
-        def rank(q):
-            return ranks[q] if 0 <= q < len(ranks) else 0
-
-        def face(q, i):
-            return faces[q][i]
-
-        def degeneracy(q, i):
-            if degeneracies is None:
-                raise LoopnilError("no degeneracy data")
-            return degeneracies[q][i]
-
-        return cls(rank, face, degeneracy, name=name)
-
     def rank(self, q):
         if q < 0:
             return 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import intmat
 from .caps import current_caps
 from .errors import InternalInvariantError, LoopnilError
-from .hall import hall_basis, tree_str, tree_weight, witt_rank
+from .hall import hall_basis, total_hall_rank, tree_str, tree_weight, witt_rank
 
 
 # ---------------------------------------------------------------------------
@@ -102,25 +102,21 @@ class RuleSystem:
     """Hall letters, their ordering, and cached commutation rules for the
     free class-n quotient on k generators.
 
-    Construction is guarded by the total-rank cap.  After construction the
-    caches only grow monotonically under a lock, so concurrent readers are
-    safe.
+    Built through :func:`rule_system`, which checks the total-rank cap.
+    After construction the caches only grow monotonically under a lock, so
+    concurrent readers are safe.
     """
 
-    def __init__(self, k, n, caps=None):
-        if k < 0 or n < 1:
-            raise LoopnilError(f"need k >= 0 and n >= 1, got ({k}, {n})")
-        caps = caps or current_caps()
-        rank = sum(witt_rank(k, w) for w in range(1, n + 1))
-        caps.check_hall_rank(rank, f"free class-{n} group on {k} generators")
+    def __init__(self, k, n):
         self.k = k
         self.n = n
-        self.rank = rank
+        self.rank = total_hall_rank(k, n)
         self.letters = []
-        self.weight_start = {}
+        self.weight_range = {}
         for w in range(1, n + 1):
-            self.weight_start[w] = len(self.letters)
+            lo = len(self.letters)
             self.letters.extend(hall_basis(k, w))
+            self.weight_range[w] = range(lo, len(self.letters))
         self.weights = [tree_weight(t) for t in self.letters]
         self.index = {t: i for i, t in enumerate(self.letters)}
         self.ring = TruncatedRing(k, n)
@@ -137,8 +133,7 @@ class RuleSystem:
         return tree_str(self.letters[i])
 
     def letters_of_weight(self, w):
-        lo = self.weight_start[w]
-        return list(range(lo, lo + witt_rank(self.k, w)))
+        return self.weight_range[w]
 
     def letter_poly(self, i):
         p = self._poly.get(i)
@@ -319,16 +314,7 @@ class RuleSystem:
 
     def collect(self, word):
         """Collect a word of (letter, exponent) pairs into normal form."""
-        work = []
-        for letter, exp in word:
-            if exp:
-                if work and work[-1][0] == letter:
-                    merged = work[-1][1] + exp
-                    work.pop()
-                    if merged:
-                        work.append((letter, merged))
-                else:
-                    work.append((letter, exp))
+        work = reduce_free_word(word)
         pos = 0
         while pos + 1 < len(work):
             u, a = work[pos]
@@ -358,16 +344,30 @@ _systems_lock = threading.Lock()
 
 
 def rule_system(k, n, caps=None):
-    """Shared per-(k, n) collection engine; cached after first construction."""
-    key = (k, n, caps or current_caps())
+    """Shared per-(k, n) collection engine, built on first use.
+
+    The first use checks the total Hall rank against ``caps``, or against
+    the environment's caps when none are given.  Later uses check it only
+    when the caller passes caps, so element arithmetic reads no environment.
+    """
+    key = (k, n)
     sys = _systems.get(key)
     if sys is None:
         with _systems_lock:
             sys = _systems.get(key)
             if sys is None:
-                sys = RuleSystem(k, n, caps=key[2])
+                if k < 0 or n < 1:
+                    raise LoopnilError(f"need k >= 0 and n >= 1, got ({k}, {n})")
+                _check_rank(caps or current_caps(), k, n, total_hall_rank(k, n))
+                sys = RuleSystem(k, n)
                 _systems[key] = sys
+    elif caps is not None:
+        _check_rank(caps, k, n, sys.rank)
     return sys
+
+
+def _check_rank(caps, k, n, rank):
+    caps.check_hall_rank(rank, f"free class-{n} group on {k} generators")
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +404,7 @@ class NilpotentElement:
     exponents: tuple
 
     def __post_init__(self):
-        expected = sum(witt_rank(self.k, w) for w in range(1, self.n + 1))
+        expected = total_hall_rank(self.k, self.n)
         if len(self.exponents) != expected:
             raise InternalInvariantError(
                 f"exponent vector has length {len(self.exponents)}, expected {expected}"
@@ -424,9 +424,8 @@ class NilpotentElement:
 
     def weight_slice(self, w):
         """Exponents over the weight-w letters."""
-        sys = rule_system(self.k, self.n)
-        ids = sys.letters_of_weight(w)
-        return [self.exponents[i] for i in ids]
+        ids = rule_system(self.k, self.n).letters_of_weight(w)
+        return list(self.exponents[ids.start : ids.stop])
 
     def word(self):
         return tuple((i, e) for i, e in enumerate(self.exponents) if e)
@@ -435,8 +434,7 @@ class NilpotentElement:
         """Image in the class-m quotient (m <= n)."""
         if m > self.n:
             raise LoopnilError("cannot truncate upwards")
-        sys = rule_system(self.k, self.n)
-        keep = sum(witt_rank(self.k, w) for w in range(1, m + 1))
+        keep = total_hall_rank(self.k, m)
         return NilpotentElement(self.k, m, tuple(self.exponents[:keep]))
 
     def to_json(self):
@@ -454,14 +452,13 @@ class NilpotentElement:
 
 
 def identity_element(k, n):
-    rank = sum(witt_rank(k, w) for w in range(1, n + 1))
-    return NilpotentElement(k, n, (0,) * rank)
+    return NilpotentElement(k, n, (0,) * total_hall_rank(k, n))
 
 
 def generator_element(k, n, i):
     if not 1 <= i <= k:
         raise LoopnilError(f"generator {i} out of range 1..{k}")
-    vec = [0] * sum(witt_rank(k, w) for w in range(1, n + 1))
+    vec = [0] * total_hall_rank(k, n)
     vec[i - 1] = 1
     return NilpotentElement(k, n, tuple(vec))
 
@@ -471,7 +468,7 @@ def collect(word, k, n, caps=None):
     for g, _ in word:
         if not 1 <= g <= k:
             raise LoopnilError(f"generator {g} out of range 1..{k}")
-    sys = rule_system(k, n, caps)
+    sys = rule_system(k, n, caps or current_caps())
     vec = sys.collect([(g - 1, e) for g, e in word])
     return NilpotentElement(k, n, tuple(vec))
 
@@ -492,7 +489,7 @@ def nil_multiply(u, v):
 
 def nil_inverse(u):
     sys = rule_system(u.k, u.n)
-    vec = sys.collect([(i, -e) for i, e in reversed(u.word())])
+    vec = sys.collect(invert_free_word(u.word()))
     return NilpotentElement(u.k, u.n, tuple(vec))
 
 
@@ -514,12 +511,8 @@ def nil_power(u, e):
 def nil_commutator(u, v):
     _require_match(u, v)
     sys = rule_system(u.k, u.n)
-    word = (
-        [(i, -e) for i, e in reversed(u.word())]
-        + [(i, -e) for i, e in reversed(v.word())]
-        + list(u.word())
-        + list(v.word())
-    )
+    word = invert_free_word(u.word()) + invert_free_word(v.word())
+    word += u.word() + v.word()
     return NilpotentElement(u.k, u.n, tuple(sys.collect(word)))
 
 
@@ -583,10 +576,11 @@ def hom_from_matrix(mat, n, src_k=None, tgt_k=None):
     given by column j (used for permutations and collapse maps)."""
     tgt = len(mat) if tgt_k is None else tgt_k
     src = src_k if src_k is not None else (len(mat[0]) if mat else 0)
+    caps = current_caps()
     images = []
     for j in range(src):
         word = [(i + 1, mat[i][j]) for i in range(tgt) if mat[i][j]]
-        images.append(collect(word, tgt, n))
+        images.append(collect(word, tgt, n, caps))
     return NilpotentHom(src, tgt, n, tuple(images))
 
 

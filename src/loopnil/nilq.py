@@ -18,15 +18,7 @@ from .abelian import AbelianInvariants
 from .caps import current_caps
 from .errors import LoopnilError
 from .hall import witt_rank
-from .nilpotent import (
-    NilpotentElement,
-    collect,
-    nil_commutator,
-    nil_inverse,
-    nil_multiply,
-    nil_power,
-    rule_system,
-)
+from .nilpotent import NilpotentElement, collect, nil_commutator, nil_multiply, nil_power
 
 
 @dataclass(frozen=True)
@@ -58,14 +50,10 @@ class PolycyclicQuotient:
         }
 
 
-def _saturate(relator_elements, k, n):
+def _saturate(relator_elements, gens, n):
     """Subgroup generators of the normal closure modulo weight n+1:
-    left-normed commutators of relators with generators and inverses."""
-    gens = []
-    for i in range(1, k + 1):
-        g = collect([(i, 1)], k, n)
-        gens.append(g)
-        gens.append(nil_inverse(g))
+    left-normed commutators of relators with ``gens``, the generators and
+    their inverses."""
     out = []
     frontier = [e for e in relator_elements if not e.is_identity]
     depth = 0
@@ -133,7 +121,7 @@ def nilpotent_quotient(k, relators, n, caps=None):
     caps = caps or current_caps()
     if n < 1:
         raise LoopnilError(f"class must be >= 1, got {n}")
-    sys = rule_system(k, n, caps)
+    gens = [collect([(i, e)], k, n, caps) for i in range(1, k + 1) for e in (1, -1)]
     elements = []
     for r in relators:
         if isinstance(r, NilpotentElement):
@@ -143,7 +131,7 @@ def nilpotent_quotient(k, relators, n, caps=None):
         else:
             elements.append(collect(r, k, n, caps))
 
-    basket = _saturate(elements, k, n)
+    basket = _saturate(elements, gens, n)
     all_pivots = []
     layers = []
     for w in range(1, n + 1):
@@ -167,13 +155,7 @@ def nilpotent_quotient(k, relators, n, caps=None):
         # all pivots so far, and the whole remaining basket
         basket = rest + leftovers
         if w < n:
-            partners = []
-            for i in range(1, k + 1):
-                partners.append(collect([(i, 1)], k, n))
-                partners.append(collect([(i, -1)], k, n))
-            partners.extend(all_pivots)
-            partners.extend(pivots)
-            partners.extend(basket)
+            partners = gens + all_pivots + pivots + basket
             for p in pivots:
                 for q in partners:
                     lo_q = q.lowest_weight()

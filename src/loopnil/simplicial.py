@@ -120,9 +120,6 @@ class SimplicialSet:
 
     # -- face and degeneracy operators --------------------------------------
 
-    def ref_dim(self, ref):
-        return self.dim_of[ref.base] + len(ref.degeneracies)
-
     def face(self, ref, i):
         """d_i of a ref; valid for 0 <= i <= dim(ref), dim(ref) >= 1."""
         word = ref.degeneracies

@@ -17,29 +17,12 @@ from .linearize import SimplicialAbelianGroup, moore_homology
 from .nilpotent import (
     NilpotentHom,
     collect,
+    invert_free_word,
     layer_matrix,
+    reduce_free_word,
 )
 from .nilq import nilpotent_quotient
 from .simplicial import require_valid
-
-
-def _reduce_word(word):
-    out = []
-    for g, e in word:
-        if not e:
-            continue
-        if out and out[-1][0] == g:
-            merged = out[-1][1] + e
-            out.pop()
-            if merged:
-                out.append((g, merged))
-        else:
-            out.append((g, e))
-    return tuple(out)
-
-
-def _invert_word(word):
-    return tuple((g, -e) for g, e in reversed(word))
 
 
 class LoopGroup:
@@ -97,7 +80,7 @@ class LoopGroup:
                     parts.append((first, 1))
                 if second is not None:
                     parts.append((second, -1))
-                word = _reduce_word(parts)
+                word = tuple(reduce_free_word(parts))
             else:
                 tgt = self._letter(q - 1, self.space.face(ref, i + 1))
                 word = ((tgt, 1),) if tgt is not None else ()
@@ -125,11 +108,11 @@ class LoopGroup:
         for g, e in w:
             img = word_of(g)
             if e < 0:
-                img = _invert_word(img)
+                img = invert_free_word(img)
                 e = -e
             for _ in range(e):
                 out.extend(img)
-        return _reduce_word(out)
+        return tuple(reduce_free_word(out))
 
     def identity_violations(self, max_degree):
         """Simplicial-group identities on generators up to the given degree."""
@@ -184,7 +167,7 @@ class LoopGroup:
                                 rhs = self._apply_word(
                                     degen_map(q - 1, j), self.face_word(q, i - 1, g)
                                 ) if q >= 1 else None
-                            if rhs is not None and lhs != _reduce_word(rhs):
+                            if rhs is not None and lhs != rhs:
                                 bad.append((q, g, f"d{i} s{j}"))
         return bad
 
@@ -300,7 +283,7 @@ def pi0(stage):
     for g in range(stage.gen_count(1)):
         w0 = stage.group.face_word(1, 0, g)
         w1 = stage.group.face_word(1, 1, g)
-        word = list(w0) + list(_invert_word(w1))
+        word = list(w0) + invert_free_word(w1)
         relators.append([(x + 1, e) for x, e in word])
     return nilpotent_quotient(k0, relators, stage.n, stage.caps)
 
@@ -435,8 +418,3 @@ def layer_homotopy(group, n, s, caps=None):
     if n == 1:
         return moore_homology(loop_linearization(group), s)
     return moore_homology(layer(group, n, caps).abelian(), s)
-
-
-def tower_rank(k, n):
-    """Total Hall rank of the free class-n group on k generators."""
-    return sum(witt_rank(k, w) for w in range(1, n + 1))

@@ -13,6 +13,7 @@ import time
 from loopnil.abelian import AbelianInvariants
 from loopnil.cli import run_command
 from loopnil.hall import cross_effect_kernel, hall_basis, lie_of_map, witt_rank
+from loopnil.hall import total_hall_rank as tower_rank
 from loopnil.linearize import moore_homology, reduced_linearization
 from loopnil.nilpotent import (
     collect,
@@ -33,7 +34,6 @@ from loopnil.tower import (
     layer_homotopy,
     loop_group,
     pi0,
-    tower_rank,
     tower_stage,
 )
 

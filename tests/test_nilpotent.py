@@ -209,3 +209,19 @@ def test_free_nilpotent_heisenberg():
     sq = nil_multiply(ab, ab)
     assert sq == collect([(1, 2), (2, 2), (2, -1), (1, -1), (2, 1), (1, 1)], 2, 2)
     assert sq.exponents == (2, 2, 1)
+
+
+def test_engine_shared_whatever_the_cap():
+    from loopnil.caps import Caps
+
+    assert rule_system(2, 3) is rule_system(2, 3, Caps(max_hall_rank=600))
+
+
+def test_element_arithmetic_reads_no_caps(monkeypatch):
+    # once the engine exists, element operations do not consult the
+    # environment: an unparsable cap there does not disturb them
+    a = collect([(1, 1)], 2, 2)
+    b = collect([(2, 1)], 2, 2)
+    monkeypatch.setenv("LOOPNIL_MAX_HALL_RANK", "many")
+    assert nil_multiply(b, a).exponents == (1, 1, 1)
+    assert nil_commutator(b, a).exponents == (0, 0, 1)

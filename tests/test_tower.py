@@ -2,6 +2,7 @@ import pytest
 
 
 from loopnil.abelian import AbelianInvariants
+from loopnil.hall import total_hall_rank as tower_rank
 from loopnil.hall import witt_rank
 from loopnil.linearize import moore_homology, reduced_linearization
 from loopnil.nilpotent import rule_system, NilpotentElement
@@ -13,7 +14,6 @@ from loopnil.tower import (
     loop_group,
     loop_linearization,
     pi0,
-    tower_rank,
     tower_stage,
 )
 
@@ -157,6 +157,21 @@ def test_pi0_naturality_surjection():
         qn = pi0(tower_stage(g, n))
         qm = pi0(tower_stage(g, n - 1))
         assert qn.layers[: n - 1] == qm.layers
+
+
+def test_pi0_raised_cap_reuses_engine_and_lower_cap_refuses():
+    # a caller's raised cap governs the whole request, elements included;
+    # a later default-cap request for the same free group is still refused
+    from loopnil.caps import Caps
+    from loopnil.errors import CapExceeded
+    from loopnil.nilpotent import collect
+
+    g = loop_group(wedge_of_circles(7), caps=Caps(max_hall_rank=1000))
+    q = pi0(tower_stage(g, 4))
+    assert [inv.rank for inv in q.layers] == [7, 21, 112, 588]
+    assert all(not inv.torsion for inv in q.layers)
+    with pytest.raises(CapExceeded):
+        collect([(1, 1)], 7, 4)
 
 
 def test_tower_homs_satisfy_identities_in_normal_form():
