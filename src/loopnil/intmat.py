@@ -1,15 +1,18 @@
-"""Dense exact linear algebra over the integers.
+"""Exact linear algebra over the integers.
 
 Matrices are plain ``list[list[int]]`` with Python's arbitrary-precision
 integers; a matrix with zero rows or columns is represented with explicit
-shape arguments where needed.  Pivots are chosen by minimal absolute value
-because intermediate entry blowup is the known failure mode of integer
-elimination.
+shape arguments where needed.  Dense pivots are chosen by minimal absolute
+value because intermediate entry blowup is the known failure mode of integer
+elimination.  Invariant factors come from a sparse elimination of unit
+pivots that keeps no transform; the dense Smith form keeps its transforms
+only for the callers that read them.
 """
 
-from .errors import InternalInvariantError
+import heapq
+from itertools import compress
 
-Matrix = list
+from .errors import InternalInvariantError
 
 
 def shape(a, ncols=None):
@@ -67,45 +70,34 @@ def matmul(a, b, a_cols=None, b_cols=None):
     return out
 
 
-def stack_rows(blocks, ncols):
-    out = []
-    for blk in blocks:
-        out.extend(copy_matrix(blk))
-    if not out:
-        return []
-    for row in out:
-        if len(row) != ncols:
-            raise InternalInvariantError("stack_rows: ragged blocks")
-    return out
-
-
-def _swap_rows(a, i, j):
+def _swap_rows(mats, i, j):
     if i != j:
-        a[i], a[j] = a[j], a[i]
+        for a in mats:
+            a[i], a[j] = a[j], a[i]
 
 
-def _swap_cols(a, i, j):
+def _swap_cols(mats, i, j):
     if i != j:
+        for a in mats:
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+
+
+def _add_row(mats, dst, src, factor):
+    for a in mats:
+        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
+
+
+def _add_col(mats, dst, src, factor):
+    for a in mats:
         for row in a:
-            row[i], row[j] = row[j], row[i]
+            if row[src]:
+                row[dst] += factor * row[src]
 
 
-def _add_row(a, dst, src, factor):
-    if factor:
-        rs = a[src]
-        rd = a[dst]
-        for j in range(len(rd)):
-            rd[j] += factor * rs[j]
-
-
-def _add_col(a, dst, src, factor):
-    if factor:
-        for row in a:
-            row[dst] += factor * row[src]
-
-
-def _negate_row(a, i):
-    a[i] = [-v for v in a[i]]
+def _negate_row(mats, i):
+    for a in mats:
+        a[i] = [-x for x in a[i]]
 
 
 def smith_normal_form(a, ncols=None):
@@ -118,6 +110,16 @@ def smith_normal_form(a, ncols=None):
     d = copy_matrix(a)
     u = identity(m)
     v = identity(n)
+    _diagonalize(d, m, n, u, v)
+    return d, u, v
+
+
+def _diagonalize(d, m, n, u=None, v=None):
+    """Bring the m x n matrix ``d`` to Smith form in place.  Row operations
+    are repeated on ``u`` and column operations on ``v`` only when given, so
+    a transform costs nothing unless its caller reads it."""
+    rows = (d,) if u is None else (d, u)
+    cols = (d,) if v is None else (d, v)
     r = min(m, n)
     t = 0
     while t < r:
@@ -125,10 +127,8 @@ def smith_normal_form(a, ncols=None):
         if pivot is None:
             break
         pi, pj = pivot
-        _swap_rows(d, t, pi)
-        _swap_rows(u, t, pi)
-        _swap_cols(d, t, pj)
-        _swap_cols(v, t, pj)
+        _swap_rows(rows, t, pi)
+        _swap_cols(cols, t, pj)
         while True:
             # clear column t completely first: row operations against a
             # dirty column let entries in the rest of the matrix mix and
@@ -141,11 +141,9 @@ def smith_normal_form(a, ncols=None):
                     if val:
                         q = val // d[t][t]
                         if q:
-                            _add_row(d, i, t, -q)
-                            _add_row(u, i, t, -q)
+                            _add_row(rows, i, t, -q)
                         if d[i][t]:
-                            _swap_rows(d, t, i)
-                            _swap_rows(u, t, i)
+                            _swap_rows(rows, t, i)
                             swapped = True
                 if not swapped:
                     break
@@ -156,17 +154,14 @@ def smith_normal_form(a, ncols=None):
                 if val:
                     q = val // d[t][t]
                     if q:
-                        _add_col(d, j, t, -q)
-                        _add_col(v, j, t, -q)
+                        _add_col(cols, j, t, -q)
                     if d[t][j]:
-                        _swap_cols(d, t, j)
-                        _swap_cols(v, t, j)
+                        _swap_cols(cols, t, j)
                         row_swapped = True
             if not row_swapped:
                 break
         t += 1
-    _normalize_diagonal(d, u, v, m, n)
-    return d, u, v
+    _normalize_diagonal(d, rows, cols, r)
 
 
 def _find_pivot(d, t, m, n):
@@ -186,58 +181,40 @@ def _find_pivot(d, t, m, n):
     return where
 
 
-def _normalize_diagonal(d, u, v, m, n):
-    r = min(m, n)
+def _normalize_diagonal(d, rows, cols, r):
     for i in range(r):
         if d[i][i] < 0:
-            _negate_row(d, i)
-            _negate_row(u, i)
-    # push zeros to the end, then repair divisibility pairwise
-    while True:
-        moved = False
-        for i in range(r - 1):
-            if d[i][i] == 0 and d[i + 1][i + 1] != 0:
-                _swap_rows(d, i, i + 1)
-                _swap_rows(u, i, i + 1)
-                _swap_cols(d, i, i + 1)
-                _swap_cols(v, i, i + 1)
-                moved = True
-        if not moved:
-            break
+            _negate_row(rows, i)
+    # zeros are already last: a pivot step never touches earlier diagonal
+    # entries; repair divisibility pairwise
     while True:
         fixed = True
         for i in range(r - 1):
             a, b = d[i][i], d[i + 1][i + 1]
             if a and b and b % a:
-                _pair_reduce(d, u, v, i, i + 1)
+                _pair_reduce(d, rows, cols, i, i + 1)
                 fixed = False
         if fixed:
             break
 
 
-def _pair_reduce(d, u, v, i, j):
+def _pair_reduce(d, rows, cols, i, j):
     # turn diag(a, b) with a not dividing b into diag(gcd, +-lcm)
-    _add_row(d, i, j, 1)
-    _add_row(u, i, j, 1)
+    _add_row(rows, i, j, 1)
     # row i is now (a, b) on columns (i, j); euclid on those two columns
     while d[i][j]:
         q = d[i][i] // d[i][j]
-        _add_col(d, i, j, -q)
-        _add_col(v, i, j, -q)
-        _swap_cols(d, i, j)
-        _swap_cols(v, i, j)
+        _add_col(cols, i, j, -q)
+        _swap_cols(cols, i, j)
     if d[j][i]:
         q = d[j][i] // d[i][i]
-        _add_row(d, j, i, -q)
-        _add_row(u, j, i, -q)
+        _add_row(rows, j, i, -q)
         if d[j][i]:
             raise InternalInvariantError("pair reduction failed to clear row")
     if d[i][i] < 0:
-        _negate_row(d, i)
-        _negate_row(u, i)
+        _negate_row(rows, i)
     if d[j][j] < 0:
-        _negate_row(d, j)
-        _negate_row(u, j)
+        _negate_row(rows, j)
 
 
 def diagonal(d, m=None, n=None):
@@ -247,11 +224,79 @@ def diagonal(d, m=None, n=None):
     return [d[i][i] for i in range(r)]
 
 
+def sparse_rows(a):
+    """The rows of ``a`` as ``{col: value}`` dicts of their nonzero entries."""
+    cols = list(range(len(a[0]) if a else 0))
+    return [dict(zip(compress(cols, row), compress(row, row))) for row in a]
+
+
 def invariant_factors(a, ncols=None):
-    """Nonzero diagonal entries of the Smith form, in divisibility order."""
-    m, n = shape(a, ncols)
-    d, _, _ = smith_normal_form(a, ncols=n)
-    return [x for x in diagonal(d, m, n) if x]
+    """Nonzero diagonal entries of the Smith form, in divisibility order;
+    the column count of an empty ``a`` does not change them."""
+    return sparse_invariant_factors(sparse_rows(a))
+
+
+def sparse_invariant_factors(rows):
+    """Nonzero invariant factors, in divisibility order, of the integer
+    matrix whose rows are given as ``{col: value}`` dicts of nonzero
+    entries; no transform is kept and the input is not modified.
+
+    Unit pivots go first, row and column together (Dumas, Saunders and
+    Villard, J. Symbolic Comput. 32, 2001): a +-1 entry in a column with the
+    fewest entries, on the shortest such row, clears its column by row
+    operations, and its row and column then split off a factor 1.  The
+    residue without unit entries is diagonalized densely.
+    """
+    rows = [dict(row) for row in rows if row]
+    col_rows = {}
+    for r, row in enumerate(rows):
+        for c in row:
+            col_rows.setdefault(c, set()).add(r)
+    heap = [(len(rs), c) for c, rs in col_rows.items()]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        count, c = heapq.heappop(heap)
+        rs = col_rows.get(c)
+        if rs is None or len(rs) != count:
+            continue  # stale: the column changed and was pushed again
+        best = None
+        for r in rs:
+            if rows[r][c] in (1, -1) and (best is None or len(rows[r]) < len(rows[best])):
+                best = r
+        if best is None:
+            continue  # pushed again if an entry of the column changes
+        prow = rows[best]
+        rows[best] = {}
+        unit = prow[c]
+        for r in rs:
+            if r == best:
+                continue
+            row = rows[r]
+            f = row[c] * unit
+            for j, x in prow.items():
+                y = row.get(j, 0) - f * x
+                if y:
+                    if j not in row:
+                        col_rows[j].add(r)
+                    row[j] = y
+                else:
+                    del row[j]
+                    if j != c:
+                        col_rows[j].discard(r)
+        del col_rows[c]
+        units += 1
+        for j in prow:
+            if j != c:
+                rs = col_rows[j]
+                rs.discard(best)
+                heapq.heappush(heap, (len(rs), j))
+    residue = [row for row in rows if row]
+    cols = sorted({j for row in residue for j in row})
+    dense = [[row.get(j, 0) for j in cols] for row in residue]
+    m, n = len(dense), len(cols)
+    _diagonalize(dense, m, n)
+    return [1] * units + [x for x in diagonal(dense, m, n) if x]
 
 
 def cokernel_invariants(a, ncols=None):
@@ -268,7 +313,9 @@ def kernel_basis(a, ncols=None):
     m, n = shape(a, ncols)
     if n == 0:
         return [], 0
-    d, _, v = smith_normal_form(a, ncols=n)
+    d = copy_matrix(a)
+    v = identity(n)
+    _diagonalize(d, m, n, v=v)
     r = min(m, n)
     free = [j for j in range(n) if j >= r or d[j][j] == 0]
     basis = [[v[i][j] for j in free] for i in range(n)]

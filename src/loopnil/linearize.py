@@ -1,5 +1,10 @@
 """Simplicial abelian groups, reduced linearization, Moore-complex homotopy.
 
+Homotopy is the homology of the unnormalized complex (alternating face
+sums), read off sparse invariant factors; a vanishing Moore-cycle group
+answers 0 early, and every computed answer checks that the boundary squares
+to zero.
+
 Degrees are produced on demand through provider callbacks, so no global
 degree cap is baked into a value; each homology query fixes its own cap.
 """
@@ -111,8 +116,18 @@ def reduced_linearization(space):
 
 
 def moore_homology(group, s):
-    """Homology of the Moore complex N_q = ker d_1 .. ker d_q with
-    differential d_0, at degree s.  Exact over Z via Smith normal form."""
+    """pi_s of a simplicial abelian group: the homology at degree s of its
+    Moore complex N_q = ker d_1 .. ker d_q with differential d_0.
+
+    Computed from the unnormalized complex with boundary sum (-1)^i d_i,
+    which has the same homology (Dold-Kan; Goerss-Jardine, Simplicial
+    Homotopy Theory, III.2).  With n_s the rank in degree s, r_s the rank of
+    the boundary out of it and F the invariant factors of the boundary into
+    it, H_s has rank n_s - r_s - len(F) and torsion the factors other than 1;
+    no kernel basis or transform is built.  When the degree-s faces have no
+    common kernel the Moore cycles vanish and 0 is returned before any
+    degree-(s+1) face is built.  Otherwise the composite of the two
+    boundaries is checked to vanish."""
     if s < 0:
         raise LoopnilError(f"degree must be >= 0, got {s}")
     for q in range(0, s + 2):
@@ -121,47 +136,45 @@ def moore_homology(group, s):
                 f"degree {q} of {group.name or 'group'} has torsion; Moore homology "
                 "here requires free degrees"
             )
-
-    def moore_basis(q):
-        """Columns spanning N_q inside degree q."""
-        n = group.rank(q)
-        if q <= 0:
-            return intmat.identity(max(n, 0)), n
-        if n == 0:
-            return [], 0
-        blocks = [group.face_matrix(q, i) for i in range(1, q + 1)]
-        stacked = intmat.stack_rows(blocks, n)
-        if not stacked:
-            return intmat.identity(n), n
-        return intmat.kernel_basis(stacked, ncols=n)
-
-    k_s, n_s = moore_basis(s)
+    n_s = group.rank(s)
     if n_s == 0:
         return AbelianInvariants(0, ())
-    k_lo, n_lo = moore_basis(s - 1)
-    k_hi, n_hi = moore_basis(s + 1)
+    low, r_s = [], 0
+    if s > 0:
+        faces = _sparse_faces(group, s)
+        if len(intmat.sparse_invariant_factors(r for f in faces for r in f)) == n_s:
+            return AbelianInvariants(0, ())
+        low = _alternating_sum(faces)
+        r_s = len(intmat.sparse_invariant_factors(low))
+    high = _alternating_sum(_sparse_faces(group, s + 1))
+    for row in low:
+        acc = {}
+        for j, x in row.items():
+            for k, y in high[j].items():
+                acc[k] = acc.get(k, 0) + x * y
+        if any(acc.values()):
+            raise InternalInvariantError(
+                f"boundary squared is nonzero at degree {s} of {group.name or 'group'}"
+            )
+    facs = intmat.sparse_invariant_factors(high)
+    return AbelianInvariants(n_s - r_s - len(facs), tuple(x for x in facs if x != 1))
 
-    def boundary_coords(k_from, n_from, k_to, n_to, q):
-        """Coordinates in the N-basis of d_0 restricted to N_q."""
-        if n_from == 0:
-            return [[] for _ in range(n_to)], 0
-        img = intmat.matmul(group.face_matrix(q, 0), k_from, b_cols=n_from)
-        if n_to == 0:
-            if any(any(v for v in row) for row in img):
-                raise InternalInvariantError("Moore boundary misses the Moore subgroup")
-            return [], 0
-        return intmat.solve_columns(k_to, img, a_cols=n_to, b_cols=n_from)
 
-    if s == 0:
-        cycles, n_cyc = intmat.identity(n_s), n_s
-    else:
-        c_s, _ = boundary_coords(k_s, n_s, k_lo, n_lo, s)
-        cycles, n_cyc = intmat.kernel_basis(c_s, ncols=n_s)
-    if n_cyc == 0:
-        return AbelianInvariants(0, ())
-    c_hi, width = boundary_coords(k_hi, n_hi, k_s, n_s, s + 1)
-    if width == 0:
-        return AbelianInvariants(n_cyc, ())
-    inside, _ = intmat.solve_columns(cycles, c_hi, a_cols=n_cyc, b_cols=width)
-    rank, torsion = intmat.cokernel_invariants(inside, ncols=width)
-    return AbelianInvariants(rank, tuple(torsion))
+def _sparse_faces(group, q):
+    """The faces d_0 .. d_q out of degree q as lists of ``{col: value}`` rows."""
+    return [intmat.sparse_rows(group.face_matrix(q, i)) for i in range(q + 1)]
+
+
+def _alternating_sum(faces):
+    """Rows of sum (-1)^i d_i for the sparse faces d_0 .. d_q."""
+    out = [{} for _ in faces[0]]
+    for i, face in enumerate(faces):
+        sign = -1 if i % 2 else 1
+        for acc, row in zip(out, face):
+            for j, x in row.items():
+                y = acc.get(j, 0) + sign * x
+                if y:
+                    acc[j] = y
+                else:
+                    del acc[j]
+    return out

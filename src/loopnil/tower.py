@@ -12,10 +12,11 @@ from dataclasses import dataclass
 from . import intmat
 from .caps import current_caps
 from .errors import InternalInvariantError, LoopnilError
-from .hall import lie_of_map, witt_rank
+from .hall import lie_of_map, total_hall_rank, witt_rank
 from .linearize import SimplicialAbelianGroup, moore_homology
 from .nilpotent import (
     NilpotentHom,
+    _check_rank,
     collect,
     invert_free_word,
     layer_matrix,
@@ -364,7 +365,13 @@ class LayerObject:
         return maps
 
     def comparison_ok(self, max_degree):
-        """Both routes agree for every structure map among degrees 0..max_degree."""
+        """Both routes agree for every structure map among degrees 0..max_degree.
+
+        Refused before any work when a collection engine it needs is over
+        the Hall-rank cap."""
+        if max_degree >= 1:
+            k = max(self.group.gen_count(q) for q in range(max_degree + 1))
+            _check_rank(self.caps, k, self.n, total_hall_rank(k, self.n))
         for q in range(1, max_degree + 1):
             for i in range(q + 1):
                 if not self.face_maps(q, i).comparison_ok:

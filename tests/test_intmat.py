@@ -117,3 +117,51 @@ def test_snf_divisibility_repair_stress():
     diag = check_snf(a)
     assert diag == [1, 30, 105, 210][: len(diag)] or diag == oracles.snf_diagonal(a)
     assert [x for x in diag if x] == [x for x in oracles.snf_diagonal(a) if x]
+
+
+def snf_factors(a, ncols=None):
+    m, n = intmat.shape(a, ncols)
+    d, _, _ = intmat.smith_normal_form(a, ncols=n)
+    return [x for x in intmat.diagonal(d, m, n) if x]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_invariant_factors_sparse_unit_matrices(seed):
+    # +-1 entries at low density, the shape of the layer boundaries: most
+    # factors come from unit pivots, fill-in leaves a residue for the rest
+    rng = random.Random(900 + seed)
+    m = rng.randint(1, 14)
+    n = rng.randint(1, 14)
+    a = [[rng.choice((0, 0, 0, 0, 1, -1)) for _ in range(n)] for _ in range(m)]
+    assert intmat.invariant_factors(a, ncols=n) == snf_factors(a, ncols=n)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_invariant_factors_without_unit_entries(seed):
+    # no entry is +-1, so everything goes to the dense residue
+    rng = random.Random(1200 + seed)
+    m = rng.randint(1, 6)
+    n = rng.randint(1, 6)
+    a = [[rng.choice((0, 0, 2, -2, 3, 4, -6, 9)) for _ in range(n)] for _ in range(m)]
+    want = snf_factors(a, ncols=n)
+    assert intmat.invariant_factors(a, ncols=n) == want
+    for prev, x in zip(want, want[1:]):
+        assert x % prev == 0
+
+
+def test_invariant_factors_zero_and_empty_shapes():
+    assert intmat.invariant_factors([[0, 0, 0], [0, 0, 0]], ncols=3) == []
+    assert intmat.invariant_factors([], ncols=4) == []
+    assert intmat.invariant_factors([[], [], []], ncols=0) == []
+    assert intmat.cokernel_invariants([[], [], []], ncols=0) == (3, [])
+    assert intmat.cokernel_invariants([], ncols=2) == (0, [])
+    # a unit pivot split off next to a residue keeps the divisibility chain
+    assert intmat.invariant_factors([[1, 0, 0], [0, 2, 0], [0, 0, 4]]) == [1, 2, 4]
+
+
+def test_sparse_invariant_factors_leaves_input_alone():
+    rows = [{0: 1, 2: -1}, {0: 1, 1: 2}, {}, {2: 4}]
+    before = [dict(r) for r in rows]
+    dense = [[r.get(j, 0) for j in range(3)] for r in rows]
+    assert intmat.sparse_invariant_factors(rows) == snf_factors(dense)
+    assert rows == before

@@ -2,8 +2,10 @@ import pytest
 
 from loopnil import intmat
 from loopnil.abelian import AbelianInvariants
-from loopnil.linearize import moore_homology, reduced_linearization
+from loopnil.errors import InternalInvariantError
+from loopnil.linearize import SimplicialAbelianGroup, moore_homology, reduced_linearization
 from loopnil.simplicial import moore_space, point, sphere, wedge, wedge_of_circles
+from loopnil.tower import layer, loop_group
 
 import oracles
 
@@ -120,8 +122,8 @@ def test_moore_boundary_squared_is_zero_matrix():
             n = a.rank(q)
             if q <= 0 or n == 0:
                 return intmat.identity(n), n
-            blocks = [a.face_matrix(q, i) for i in range(1, q + 1)]
-            return intmat.kernel_basis(intmat.stack_rows(blocks, n), ncols=n)
+            stacked = [row for i in range(1, q + 1) for row in a.face_matrix(q, i)]
+            return intmat.kernel_basis(stacked, ncols=n)
 
         for s in range(1, 4):
             k_lo, n_lo = moore_basis(s - 1)
@@ -143,7 +145,6 @@ def test_moore_boundary_squared_is_zero_matrix():
 
 def test_moore_homology_rejects_torsion_degrees():
     from loopnil.errors import UnsupportedTorsion
-    from loopnil.linearize import SimplicialAbelianGroup
 
     g = SimplicialAbelianGroup(
         lambda q: 1 if q >= 0 else 0,
@@ -166,3 +167,48 @@ def test_sphere_homology_window():
                 assert inv == AbelianInvariants(1, ())
             else:
                 assert inv.is_trivial, (n, s)
+
+
+def test_boundary_squared_nonzero_raises():
+    # ranks 1, 2, 1 in degrees 0, 1, 2; d_0 keeps the first coordinate and
+    # every other face is zero, so the Moore cycles in degree 1 are nonzero
+    # and the alternating boundaries compose to the nonzero [[1]]
+    faces = {
+        (1, 0): [[1, 0]],
+        (1, 1): [[0, 0]],
+        (2, 0): [[1], [0]],
+        (2, 1): [[0], [0]],
+        (2, 2): [[0], [0]],
+    }
+    g = SimplicialAbelianGroup(
+        lambda q: (1, 2, 1)[q] if q <= 2 else 0,
+        lambda q, i: faces[(q, i)],
+        lambda q, i: [],
+        name="not-simplicial",
+    )
+    with pytest.raises(InternalInvariantError, match="boundary squared"):
+        moore_homology(g, 1)
+
+
+LAYER_SPACES = [
+    ("moore_2_2", lambda: moore_space(2, 2)),
+    ("s1vs2", lambda: wedge(sphere(1), sphere(2))),
+    ("s3", lambda: sphere(3)),
+]
+
+
+@pytest.mark.parametrize("name,space_fn", LAYER_SPACES)
+@pytest.mark.parametrize("n", [2, 3])
+def test_layer_homology_matches_moore_oracle(name, space_fn, n):
+    # the oracle keeps the Moore-basis route with its own elimination; at
+    # M(Z/2,2) class 3, s = 3 (ranks 70 and 330) that elimination takes
+    # seconds, so the point is left to the benchmark's reference, which
+    # checks it on every layers run
+    group = layer(loop_group(space_fn()), n).abelian()
+    top = 2 if (name, n) == ("moore_2_2", 3) else 3
+    for s in range(top + 1):
+        got = moore_homology(group, s)
+        o_rank, o_torsion = oracles.moore_homology_oracle(
+            lambda q: group.rank(q) if q >= 0 else 0, group.face_matrix, s
+        )
+        assert (got.rank, list(got.torsion)) == (o_rank, o_torsion), (name, n, s)

@@ -174,6 +174,20 @@ def test_pi0_raised_cap_reuses_engine_and_lower_cap_refuses():
         collect([(1, 1)], 7, 4)
 
 
+def test_comparison_refused_before_any_engine_is_built():
+    # degree 3 of the loop group of M(Z/3,2) has 18 generators; the class-3
+    # engine on them has Hall rank 2109, over the default cap of 512
+    from loopnil import nilpotent
+    from loopnil.errors import CapExceeded
+
+    before = set(nilpotent._systems)
+    lay = layer(loop_group(moore_space(3, 2)), 3)
+    with pytest.raises(CapExceeded, match="free class-3 group on 18 generators"):
+        lay.comparison_ok(3)
+    assert set(nilpotent._systems) == before
+    assert lay._maps == {}
+
+
 def test_tower_homs_satisfy_identities_in_normal_form():
     from loopnil.nilpotent import compose_homs
 
