@@ -247,32 +247,46 @@ def _normalize_tree(tree):
 
 def lie_of_map(f, n, src_k=None, tgt_k=None):
     """Matrix of Lie_n(f) in Hall bases, for an integer matrix f mapping
-    Z^src_k -> Z^tgt_k (rows are targets)."""
-    tgt = len(f) if tgt_k is None else tgt_k
-    src = len(f[0]) if f else (0 if src_k is None else src_k)
-    if src_k is not None:
-        src = src_k
-    if f and any(len(row) != src for row in f):
-        raise LoopnilError("ragged matrix")
-    src_basis = hall_basis(src, n)
-    tgt_basis = hall_basis(tgt, n)
-    tgt_index = {t: i for i, t in enumerate(tgt_basis)}
-    out = intmat.zeros(len(tgt_basis), len(src_basis))
-    for j, tree in enumerate(src_basis):
-        for t, c in _substitute(tree, f, tgt):
-            out[tgt_index[t]][j] += c
-    return out
+    Z^src_k -> Z^tgt_k (rows are targets); the dense form of ``lie_rows``,
+    with src_k and tgt_k defaulting to the shape of f."""
+    if tgt_k is None:
+        tgt_k = len(f)
+    if src_k is None:
+        src_k = len(f[0]) if f else 0
+    return intmat.dense_rows(lie_rows(f, n, src_k, tgt_k), witt_rank(src_k, n))
 
 
-def _substitute(tree, f, tgt):
-    """Hall expansion of a tree after substituting generator images."""
-    if isinstance(tree, int):
-        return tuple(
-            (i + 1, f[i][tree - 1]) for i in range(tgt) if f[i][tree - 1]
+def lie_rows(f, n, src_k, tgt_k):
+    """Lie_n(f) in Hall bases as ``{col: value}`` rows of nonzero entries,
+    one row per weight-n Hall tree over tgt_k generators and one column per
+    Hall tree over src_k, for the tgt_k x src_k integer matrix f.
+
+    Each Hall tree's image is taken once, bottom-up: a generator goes to its
+    column of f and a bracket ``(a, b)`` to the bracket of the images of a
+    and b, memoized below weight n for the length of the call."""
+    if len(f) != tgt_k or any(len(row) != src_k for row in f):
+        raise LoopnilError(
+            f"Lie_{n}(f) from Z^{src_k} to Z^{tgt_k} needs a {tgt_k}x{src_k} "
+            "matrix f (rows are targets)"
         )
-    left = _substitute(tree[0], f, tgt)
-    right = _substitute(tree[1], f, tgt)
-    return _bracket_combo(left, right)
+    images = {
+        j: tuple((i + 1, row[j - 1]) for i, row in enumerate(f) if row[j - 1])
+        for j in range(1, src_k + 1)
+    }
+
+    def image(tree):
+        img = images.get(tree)
+        if img is None:
+            img = images[tree] = _bracket_combo(image(tree[0]), image(tree[1]))
+        return img
+
+    tgt_index = {t: i for i, t in enumerate(hall_basis(tgt_k, n))}
+    rows = [{} for _ in tgt_index]
+    for j, tree in enumerate(hall_basis(src_k, n)):
+        img = images[tree] if n == 1 else _bracket_combo(image(tree[0]), image(tree[1]))
+        for t, c in img:
+            rows[tgt_index[t]][j] = c
+    return rows
 
 
 # ---------------------------------------------------------------------------

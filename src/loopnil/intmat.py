@@ -230,6 +230,16 @@ def sparse_rows(a):
     return [dict(zip(compress(cols, row), compress(row, row))) for row in a]
 
 
+def dense_rows(rows, ncols):
+    """The matrix with ``ncols`` columns whose rows are the ``{col: value}``
+    dicts ``rows``."""
+    out = zeros(len(rows), ncols)
+    for dense, row in zip(out, rows):
+        for j, x in row.items():
+            dense[j] = x
+    return out
+
+
 def invariant_factors(a, ncols=None):
     """Nonzero diagonal entries of the Smith form, in divisibility order;
     the column count of an empty ``a`` does not change them."""

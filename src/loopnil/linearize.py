@@ -17,7 +17,11 @@ from .simplicial import require_valid
 
 class SimplicialAbelianGroup:
     """Degreewise finitely generated abelian groups with integer face and
-    degeneracy matrices acting on chosen generating sets."""
+    degeneracy maps acting on chosen generating sets.
+
+    The callbacks give each map as ``{col: value}`` rows of nonzero entries,
+    one row per generator of the target degree and one column per generator
+    of the source degree."""
 
     def __init__(self, rank_fn, face_fn, degeneracy_fn, torsion_fn=None, name=""):
         self._rank_fn = rank_fn
@@ -41,38 +45,46 @@ class SimplicialAbelianGroup:
             return ()
         return tuple(self._torsion_fn(q))
 
-    def face_matrix(self, q, i):
-        """Matrix of d_i from degree q to degree q-1 (rows index the target)."""
+    def face_rows(self, q, i):
+        """d_i from degree q to degree q-1 as ``{col: value}`` rows."""
         if not (q >= 1 and 0 <= i <= q):
             raise LoopnilError(f"face d_{i} undefined in degree {q}")
-        key = (q, i)
-        if key not in self._faces:
-            mat = self._face_fn(q, i)
-            self._check_shape(mat, self.rank(q - 1), self.rank(q), f"d_{i} in degree {q}")
-            self._faces[key] = mat
-        return self._faces[key]
+        return self._rows(self._faces, self._face_fn, q, i, q - 1, f"d_{i} in degree {q}")
+
+    def face_matrix(self, q, i):
+        """Dense matrix of d_i from degree q to degree q-1 (rows index the
+        target)."""
+        return intmat.dense_rows(self.face_rows(q, i), self.rank(q))
 
     def degeneracy_matrix(self, q, i):
+        """Dense matrix of s_i from degree q to degree q+1."""
         if not (q >= 0 and 0 <= i <= q):
             raise LoopnilError(f"degeneracy s_{i} undefined in degree {q}")
-        key = (q, i)
-        if key not in self._degens:
-            mat = self._degeneracy_fn(q, i)
-            self._check_shape(mat, self.rank(q + 1), self.rank(q), f"s_{i} in degree {q}")
-            self._degens[key] = mat
-        return self._degens[key]
+        rows = self._rows(self._degens, self._degeneracy_fn, q, i, q + 1, f"s_{i} in degree {q}")
+        return intmat.dense_rows(rows, self.rank(q))
 
-    @staticmethod
-    def _check_shape(mat, rows, cols, what):
-        m = len(mat)
-        if m != rows or (m and any(len(r) != cols for r in mat)):
-            raise InternalInvariantError(f"{what}: expected {rows}x{cols} matrix")
+    def _rows(self, cache, fn, q, i, target, what):
+        rows = cache.get((q, i))
+        if rows is None:
+            rows = fn(q, i)
+            m, n = self.rank(target), self.rank(q)
+            if len(rows) != m or any(
+                not isinstance(row, dict)
+                or (row and (min(row) < 0 or max(row) >= n or 0 in row.values()))
+                for row in rows
+            ):
+                raise InternalInvariantError(
+                    f"{what}: expected {m} rows of nonzero {{col: value}} entries "
+                    f"with columns below {n}"
+                )
+            cache[(q, i)] = rows
+        return rows
 
 
 def reduced_linearization(space):
     """Free simplicial abelian group on a reduced space modulo the basepoint
     ray: degree q is free on all q-simplices except the basepoint degeneracy,
-    with induced face and degeneracy matrices."""
+    with induced face and degeneracy maps."""
     require_valid(space)
 
     def basis(q):
@@ -90,27 +102,21 @@ def reduced_linearization(space):
     def rank(q):
         return len(cached_basis(q)[0])
 
-    def face(q, i):
+    def induced(q, target, simplex_map):
         refs, _ = cached_basis(q)
-        _, tgt_index = cached_basis(q - 1)
-        out = intmat.zeros(len(tgt_index), len(refs))
+        _, tgt_index = cached_basis(target)
+        rows = [{} for _ in tgt_index]
         for j, ref in enumerate(refs):
-            img = space.face(ref, i)
-            row = tgt_index.get(img)
+            row = tgt_index.get(simplex_map(ref))
             if row is not None:
-                out[row][j] += 1
-        return out
+                rows[row][j] = 1
+        return rows
+
+    def face(q, i):
+        return induced(q, q - 1, lambda ref: space.face(ref, i))
 
     def degeneracy(q, i):
-        refs, _ = cached_basis(q)
-        _, tgt_index = cached_basis(q + 1)
-        out = intmat.zeros(len(tgt_index), len(refs))
-        for j, ref in enumerate(refs):
-            img = space.degeneracy(ref, i)
-            row = tgt_index.get(img)
-            if row is not None:
-                out[row][j] += 1
-        return out
+        return induced(q, q + 1, lambda ref: space.degeneracy(ref, i))
 
     return SimplicialAbelianGroup(rank, face, degeneracy, name=f"Zred({space.name})")
 
@@ -162,7 +168,7 @@ def moore_homology(group, s):
 
 def _sparse_faces(group, q):
     """The faces d_0 .. d_q out of degree q as lists of ``{col: value}`` rows."""
-    return [intmat.sparse_rows(group.face_matrix(q, i)) for i in range(q + 1)]
+    return [group.face_rows(q, i) for i in range(q + 1)]
 
 
 def _alternating_sum(faces):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from . import intmat
 from .caps import current_caps
 from .errors import InternalInvariantError, LoopnilError
-from .hall import lie_of_map, total_hall_rank, witt_rank
+from .hall import lie_of_map, lie_rows, total_hall_rank, witt_rank
 from .linearize import SimplicialAbelianGroup, moore_homology
 from .nilpotent import (
     NilpotentHom,
@@ -208,10 +208,10 @@ def loop_linearization(group):
         return group.gen_count(q)
 
     def face(q, i):
-        return abelianized_matrix(group, q, i, "face")
+        return intmat.sparse_rows(abelianized_matrix(group, q, i, "face"))
 
     def degeneracy(q, i):
-        return abelianized_matrix(group, q, i, "degeneracy")
+        return intmat.sparse_rows(abelianized_matrix(group, q, i, "degeneracy"))
 
     return SimplicialAbelianGroup(
         rank, face, degeneracy, name=f"ab G({group.space.name})"
@@ -330,39 +330,30 @@ class LayerObject:
 
     def face_maps(self, q, i):
         """Both routes for d_i on the degree-q layer (q >= 1)."""
-        key = ("face", q, i)
-        maps = self._maps.get(key)
-        if maps is None:
-            hom = self._tower().face_hom(q, i)
-            maps = LayerMaps(
-                layer_matrix(hom, self.n),
-                lie_of_map(
-                    abelianized_matrix(self.group, q, i, "face"),
-                    self.n,
-                    src_k=self.group.gen_count(q),
-                    tgt_k=self.group.gen_count(q - 1),
-                ),
-            )
-            self._maps[key] = maps
-        return maps
+        return self._both_routes("face", q, i)
 
     def degeneracy_maps(self, q, i):
         """Both routes for s_i from the degree-q layer into degree q+1."""
-        key = ("degeneracy", q, i)
+        return self._both_routes("degeneracy", q, i)
+
+    def _both_routes(self, kind, q, i):
+        key = (kind, q, i)
         maps = self._maps.get(key)
         if maps is None:
-            hom = self._tower().degeneracy_hom(q, i)
-            maps = LayerMaps(
-                layer_matrix(hom, self.n),
-                lie_of_map(
-                    abelianized_matrix(self.group, q, i, "degeneracy"),
-                    self.n,
-                    src_k=self.group.gen_count(q),
-                    tgt_k=self.group.gen_count(q + 1),
-                ),
-            )
+            hom = self._tower()._hom(q, i, kind)
+            maps = LayerMaps(layer_matrix(hom, self.n), self._lie_route(lie_of_map, kind, q, i))
             self._maps[key] = maps
         return maps
+
+    def _lie_route(self, lie, kind, q, i):
+        """``lie`` (``lie_of_map`` or ``lie_rows``) of the abelianized map."""
+        target = q - 1 if kind == "face" else q + 1
+        return lie(
+            abelianized_matrix(self.group, q, i, kind),
+            self.n,
+            self.group.gen_count(q),
+            self.group.gen_count(target),
+        )
 
     def comparison_ok(self, max_degree):
         """Both routes agree for every structure map among degrees 0..max_degree.
@@ -390,20 +381,10 @@ class LayerObject:
             return self.rank(q) if q >= 0 else 0
 
         def face(q, i):
-            return lie_of_map(
-                abelianized_matrix(self.group, q, i, "face"),
-                self.n,
-                src_k=self.group.gen_count(q),
-                tgt_k=self.group.gen_count(q - 1),
-            )
+            return self._lie_route(lie_rows, "face", q, i)
 
         def degeneracy(q, i):
-            return lie_of_map(
-                abelianized_matrix(self.group, q, i, "degeneracy"),
-                self.n,
-                src_k=self.group.gen_count(q),
-                tgt_k=self.group.gen_count(q + 1),
-            )
+            return self._lie_route(lie_rows, "degeneracy", q, i)
 
         return SimplicialAbelianGroup(
             rank, face, degeneracy, name=f"layer {self.n} of G({self.group.space.name})"

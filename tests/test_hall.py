@@ -142,6 +142,46 @@ def test_lie_of_map_functorial(seed):
     assert lhs == rhs
 
 
+def _expand(tree, f):
+    """Multilinear expansion of a tree after substituting the columns of f
+    for its leaves, as (bracketing over target generators, coefficient)."""
+    if isinstance(tree, int):
+        return [(i + 1, row[tree - 1]) for i, row in enumerate(f) if row[tree - 1]]
+    return [
+        ((ta, tb), ca * cb)
+        for ta, ca in _expand(tree[0], f)
+        for tb, cb in _expand(tree[1], f)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_lie_of_map_matches_multilinear_expansion(seed):
+    rng = random.Random(3000 + seed)
+    k = rng.randint(0, 3)
+    m = rng.randint(0, 3)
+    n = rng.randint(1, 4)
+    f = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(m)]
+    got = hall.lie_of_map(f, n, src_k=k, tgt_k=m)
+    assert len(got) == hall.witt_rank(m, n)
+    for j, tree in enumerate(hall.hall_basis(k, n)):
+        want = hall.lie_normalize(_expand(tree, f), m, n).vector()
+        assert [row[j] for row in got] == want, (f, n, hall.tree_str(tree))
+
+
+@pytest.mark.parametrize(
+    "f,n,src_k,tgt_k,shape",
+    [
+        ([[1, 0], [0, 1]], 1, None, 1, "1x2"),
+        ([[1, 0]], 2, None, 3, "3x2"),
+        ([[1, 0]], 2, 3, None, "1x3"),
+        ([[1, 0], [1]], 2, None, None, "2x2"),
+    ],
+)
+def test_lie_of_map_rejects_a_matrix_of_the_wrong_shape(f, n, src_k, tgt_k, shape):
+    with pytest.raises(hall.LoopnilError, match=f"needs a {shape} matrix"):
+        hall.lie_of_map(f, n, src_k=src_k, tgt_k=tgt_k)
+
+
 def test_cross_effect_kernel_trivial():
     assert hall.cross_effect_kernel(1, [1, 1]).is_trivial
     assert hall.cross_effect_kernel(2, [1, 1, 1]).is_trivial

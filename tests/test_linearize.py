@@ -174,11 +174,11 @@ def test_boundary_squared_nonzero_raises():
     # every other face is zero, so the Moore cycles in degree 1 are nonzero
     # and the alternating boundaries compose to the nonzero [[1]]
     faces = {
-        (1, 0): [[1, 0]],
-        (1, 1): [[0, 0]],
-        (2, 0): [[1], [0]],
-        (2, 1): [[0], [0]],
-        (2, 2): [[0], [0]],
+        (1, 0): [{0: 1}],
+        (1, 1): [{}],
+        (2, 0): [{0: 1}, {}],
+        (2, 1): [{}, {}],
+        (2, 2): [{}, {}],
     }
     g = SimplicialAbelianGroup(
         lambda q: (1, 2, 1)[q] if q <= 2 else 0,
@@ -188,6 +188,18 @@ def test_boundary_squared_nonzero_raises():
     )
     with pytest.raises(InternalInvariantError, match="boundary squared"):
         moore_homology(g, 1)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[{0: 1}], [{0: 1}, {2: 1}], [{-1: 1}, {}], [[1, 0], [0, 1]], [{0: 1}, {1: 0}]],
+)
+def test_face_rows_are_shape_checked(rows):
+    # degree 1 and degree 0 both have rank 2: d_0 needs two {col: value}
+    # rows of nonzero entries in columns 0 and 1
+    g = SimplicialAbelianGroup(lambda q: 2, lambda q, i: rows, lambda q, i: [], name="bad")
+    with pytest.raises(InternalInvariantError, match="expected 2 rows"):
+        g.face_rows(1, 0)
 
 
 LAYER_SPACES = [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 
@@ -106,6 +108,32 @@ def test_layer_one_equals_abelianization():
         for q in range(1, 4):
             for i in range(q + 1):
                 assert lay.face_maps(q, i).lie_matrix == lin.face_matrix(q, i)
+
+
+def test_layer_faces_sparse_rows_equal_dense_lie_route():
+    for space in FIXTURES:
+        g = loop_group(space)
+        for n in (2, 3):
+            simp = layer(g, n).abelian()
+            lay = layer(g, n)
+            for q in range(1, 4):
+                for i in range(q + 1):
+                    assert simp.face_matrix(q, i) == lay.face_maps(q, i).lie_matrix, (
+                        space.name, n, q, i
+                    )
+
+
+def test_layer_homotopy_memory_stays_small():
+    # built as dense matrices, the five degree-4 faces of this layer
+    # (1,938 x 8,990 each) peaked at about 700 MB
+    tracemalloc.start()
+    try:
+        inv = layer_homotopy(loop_group(moore_space(3, 2)), 3, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inv == AbelianInvariants(0, ())
+    assert peak < 100 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
 
 def test_tower_exactness_rank_additivity_and_composites():
