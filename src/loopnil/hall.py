@@ -56,16 +56,19 @@ def hall_basis(k, n):
         raise LoopnilError(f"hall_basis needs k >= 0 and n >= 1, got ({k}, {n})")
     if n == 1:
         return tuple(range(1, k + 1))
+    # each lower-weight tree's key once; every bracket built here has weight
+    # n, so its tree_key order is the order of its two factors' keys
+    keys = {t: tree_key(t) for w in range(1, n) for t in hall_basis(k, w)}
     out = []
     for wl in range(1, n):
+        rights = [(keys[r], r) for r in hall_basis(k, n - wl)]
         for left in hall_basis(k, wl):
-            kl = tree_key(left)
-            sub = None if isinstance(left, int) else tree_key(left[1])
-            for right in hall_basis(k, n - wl):
-                kr = tree_key(right)
+            kl = keys[left]
+            sub = None if isinstance(left, int) else keys[left[1]]
+            for kr, right in rights:
                 if kl > kr and (sub is None or sub <= kr):
                     out.append((left, right))
-    out.sort(key=tree_key)
+    out.sort(key=lambda t: (keys[t[0]], keys[t[1]]))
     return tuple(out)
 
 

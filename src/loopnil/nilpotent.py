@@ -4,7 +4,10 @@ Elements of the class-n quotient of a rank-k free group are ordered products
 of Hall-basis commutators with integer exponents.  Arithmetic is collection
 from the left; the commutation rule between two Hall letters is computed once
 inside the degree-truncated free associative ring (generators map to 1 + X_i,
-which is faithful on the class-n quotient) and cached.
+which is faithful on the class-n quotient) and cached.  Normal-form exponents
+are read back from a ring element weight by weight, through a plan fixed per
+weight: letters peeled one pivot monomial at a time, then the few letters no
+monomial separates, solved per multidegree from a Smith form.
 """
 
 import threading
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from . import intmat
 from .caps import current_caps
 from .errors import InternalInvariantError, LoopnilError
-from .hall import hall_basis, total_hall_rank, tree_str, tree_weight, witt_rank
+from .hall import hall_basis, total_hall_rank, tree_leaves, tree_str, tree_weight, witt_rank
 
 
 # ---------------------------------------------------------------------------
@@ -47,39 +50,31 @@ class TruncatedRing:
         return out
 
     def inv(self, p):
-        """Inverse of a polynomial with constant term 1 (geometric series)."""
+        return self.power(p, -1)
+
+    def power(self, p, e):
+        """``p ** e`` for a polynomial with constant term 1 and any integer
+        ``e``: the binomial series sum_j C(e, j) (p - 1)^j, finite because
+        (p - 1)^j has no terms below degree j."""
         if p.get((), 0) != 1:
-            raise InternalInvariantError("inverse requires constant term 1")
+            raise InternalInvariantError("power requires constant term 1")
         u = {m: c for m, c in p.items() if m}
         out = dict(self.one)
-        power = dict(self.one)
-        sign = -1
-        for _ in range(self.degree):
-            power = self.mul(power, u)
-            if not power:
+        term = self.one
+        binom = 1
+        for j in range(1, self.degree + 1):
+            binom = binom * (e - j + 1) // j
+            if not binom:
                 break
-            for m, c in power.items():
-                v = out.get(m, 0) + sign * c
+            term = self.mul(term, u) if j > 1 else u
+            if not term:
+                break
+            for m, c in term.items():
+                v = out.get(m, 0) + binom * c
                 if v:
                     out[m] = v
                 elif m in out:
                     del out[m]
-            sign = -sign
-        return out
-
-    def power(self, p, e):
-        if e == 0:
-            return dict(self.one)
-        base = p if e > 0 else self.inv(p)
-        e = abs(e)
-        out = dict(self.one)
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base_needed = e >> 1
-            if base_needed:
-                base = self.mul(base, base)
-            e >>= 1
         return out
 
     def commutator(self, p, q, p_inv=None, q_inv=None):
@@ -186,103 +181,122 @@ class RuleSystem:
         return p
 
     def _weight_solver(self, w):
-        """Peeling order for expressing a homogeneous Lie polynomial in the
-        Hall expansions of the weight-w letters."""
-        data = self._solver.get(w)
-        if data is None:
+        """Plan for expressing a homogeneous degree-w Lie polynomial in the
+        Hall expansions of the weight-w letters, built once per weight.
+
+        ``steps`` peel one letter each, in order: its expansion is the only
+        one left that contains the pivot monomial, so its exponent is the
+        target's pivot coefficient over the expansion's.  The order does not
+        depend on the target.  The letters still left when no such monomial
+        remains form ``blocks``, one per multidegree (expansions of different
+        multidegrees share no monomial), each factored by a Smith form."""
+        plan = self._solver.get(w)
+        if plan is None:
             ids = self.letters_of_weight(w)
             polys = [self._lie_poly(self.letters[i]) for i in ids]
             owners = {}
             for pos, p in enumerate(polys):
                 for m in p:
                     owners.setdefault(m, []).append(pos)
-            data = (ids, polys, owners)
+            alive = {m: len(lst) for m, lst in owners.items()}
+            queue = [m for m, cnt in alive.items() if cnt == 1]
+            remaining = set(range(len(ids)))
+            steps = []
+            while queue:
+                mono = queue.pop()
+                if alive[mono] != 1:
+                    continue
+                (pos,) = [p for p in owners[mono] if p in remaining]
+                steps.append((ids[pos], mono, polys[pos][mono], tuple(polys[pos].items())))
+                remaining.discard(pos)
+                for m in polys[pos]:
+                    alive[m] -= 1
+                    if alive[m] == 1:
+                        queue.append(m)
+            by_content = {}
+            for pos in sorted(remaining):
+                content = tuple(sorted(tree_leaves(self.letters[ids[pos]])))
+                by_content.setdefault(content, []).append(pos)
+            blocks = [
+                self._factor_block([ids[p] for p in group], [polys[p] for p in group])
+                for group in by_content.values()
+            ]
+            plan = (steps, blocks)
             with self._lock:
-                self._solver[w] = data
-        return data
+                self._solver[w] = plan
+        return plan
+
+    @staticmethod
+    def _factor_block(letters, polys):
+        """Smith form u @ M @ v = d of the monomial-by-letter matrix M of
+        ``polys``, kept as the rows of u that meet the diagonal (as
+        (monomial, entry) pairs), the diagonal and v."""
+        monos = sorted({m for p in polys for m in p})
+        mat = [[p.get(m, 0) for p in polys] for m in monos]
+        d, u, v = intmat.smith_normal_form(mat, ncols=len(polys))
+        diag = [d[i][i] for i in range(len(polys))]
+        if not all(diag):
+            raise InternalInvariantError("Hall expansions are linearly dependent")
+        rows = [tuple((m, x) for m, x in zip(monos, u[i]) if x) for i in range(len(polys))]
+        expansions = [tuple(p.items()) for p in polys]
+        return letters, rows, diag, v, expansions
 
     def _solve_weight(self, w, target):
         """Coefficients over weight-w letters with sum of Hall expansions
         equal to ``target`` (a homogeneous degree-w Lie polynomial)."""
-        ids, polys, owners = self._weight_solver(w)
-        remaining = set(range(len(ids)))
-        alive = {m: len(lst) for m, lst in owners.items()}
+        steps, blocks = self._weight_solver(w)
         work = dict(target)
         out = {}
-        queue = [m for m, lst in owners.items() if alive[m] == 1]
-        while remaining:
-            mono = None
-            while queue:
-                cand = queue.pop()
-                if alive.get(cand, 0) == 1:
-                    holder = [p for p in owners[cand] if p in remaining]
-                    if holder:
-                        mono = cand
-                        break
-            if mono is None:
-                for m, cnt in alive.items():
-                    if cnt == 1 and any(p in remaining for p in owners[m]):
-                        mono = m
-                        break
-            if mono is None:
-                return self._solve_weight_dense(w, target)
-            (pos,) = [p for p in owners[mono] if p in remaining]
-            coeff = polys[pos][mono]
+        for letter, mono, coeff, expansion in steps:
             val = work.get(mono, 0)
-            if val % coeff:
-                raise InternalInvariantError("exponent extraction: non-integer solution")
-            e = val // coeff
-            if e:
-                out[ids[pos]] = e
-                for m, c in polys[pos].items():
-                    v = work.get(m, 0) - e * c
-                    if v:
-                        work[m] = v
-                    elif m in work:
-                        del work[m]
-            remaining.discard(pos)
-            for m in polys[pos]:
-                alive[m] -= 1
-                if alive[m] == 1:
-                    queue.append(m)
+            if val:
+                if val % coeff:
+                    raise InternalInvariantError("exponent extraction: non-integer solution")
+                e = val // coeff
+                out[letter] = e
+                for m, c in expansion:
+                    work[m] = work.get(m, 0) - e * c
+        for letters, rows, diag, v, expansions in blocks:
+            z = []
+            for row, dd in zip(rows, diag):
+                y = sum(x * work.get(m, 0) for m, x in row)
+                if y % dd:
+                    raise InternalInvariantError("exponent extraction: non-integer solution")
+                z.append(y // dd)
+            for letter, v_row, expansion in zip(letters, v, expansions):
+                e = sum(a * b for a, b in zip(v_row, z))
+                if e:
+                    out[letter] = e
+                    for m, c in expansion:
+                        work[m] = work.get(m, 0) - e * c
         if any(work.values()):
             raise InternalInvariantError("exponent extraction left a remainder")
         return out
-
-    def _solve_weight_dense(self, w, target):
-        # fallback: exact dense solve of the full monomial system
-        ids, polys, _ = self._weight_solver(w)
-        monos = sorted({m for p in polys for m in p} | set(target))
-        mindex = {m: i for i, m in enumerate(monos)}
-        mat = intmat.zeros(len(monos), len(ids))
-        for j, p in enumerate(polys):
-            for m, c in p.items():
-                mat[mindex[m]][j] = c
-        rhs = [[target.get(m, 0)] for m in monos]
-        sol, _ = intmat.solve_columns(mat, rhs, a_cols=len(ids), b_cols=1)
-        return {ids[j]: sol[j][0] for j in range(len(ids)) if sol[j][0]}
 
     # -- normal forms ----------------------------------------------------------
 
     def extract(self, poly, start_weight=1):
         """Normal-form exponents of a group-like ring element."""
+        ring = self.ring
         vec = [0] * self.rank
         g = poly
         for w in range(start_weight, self.n + 1):
-            part = self.ring.homogeneous(g, w)
+            part = ring.homogeneous(g, w)
             if not part:
                 continue
             coeffs = self._solve_weight(w, part)
             if not coeffs:
                 continue
-            prefix = dict(self.ring.one)
-            for letter, e in sorted(coeffs.items()):
+            # the inverse of the ordered product of letter powers, built in
+            # reverse order from the inverse powers
+            peel = ring.one
+            for letter, e in sorted(coeffs.items(), reverse=True):
                 vec[letter] = e
-                prefix = self.ring.mul(prefix, self.ring.power(self.letter_poly(letter), e))
-            g = self.ring.mul(self.ring.inv(prefix), g)
-            if self.ring.homogeneous(g, w):
+                peel = ring.mul(peel, ring.power(self.letter_poly(letter), -e))
+            g = ring.mul(peel, g)
+            if ring.homogeneous(g, w):
                 raise InternalInvariantError("weight peeling failed")
-        if not self.ring.is_one(g):
+        if not ring.is_one(g):
             raise InternalInvariantError("extraction terminated off the identity")
         return vec
 
@@ -303,9 +317,12 @@ class RuleSystem:
             if w > self.n:
                 tail = ()
             else:
-                pu = self.ring.power(self.letter_poly(hi), a)
-                pv = self.ring.power(self.letter_poly(lo), b)
-                comm = self.ring.commutator(pu, pv)
+                ring = self.ring
+                u = self.letter_poly(hi)
+                v = self.letter_poly(lo)
+                comm = ring.commutator(
+                    ring.power(u, a), ring.power(v, b), ring.power(u, -a), ring.power(v, -b)
+                )
                 vec = self.extract(comm, start_weight=w)
                 tail = tuple((i, e) for i, e in enumerate(vec) if e)
             with self._lock:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -225,3 +226,143 @@ def test_element_arithmetic_reads_no_caps(monkeypatch):
     monkeypatch.setenv("LOOPNIL_MAX_HALL_RANK", "many")
     assert nil_multiply(b, a).exponents == (1, 1, 1)
     assert nil_commutator(b, a).exponents == (0, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# ring powers, extraction and the per-weight solver
+
+
+def random_group_like(sys, rng, bound=3):
+    vec = [rng.randint(-bound, bound) for _ in range(sys.rank)]
+    return sys.vector_to_poly(vec)
+
+
+@pytest.mark.parametrize("k,n", [(2, 4), (3, 4), (2, 5)])
+def test_ring_power_matches_repeated_mul(k, n):
+    rng = random.Random(31 * k + n)
+    sys = rule_system(k, n)
+    ring = sys.ring
+    for _ in range(4):
+        p = random_group_like(sys, rng)
+        p_inv = ring.inv(p)
+        assert ring.is_one(ring.mul(p_inv, p))
+        assert ring.is_one(ring.mul(p, p_inv))
+        rep, rep_inv = ring.one, ring.one
+        for e in range(0, 7):
+            assert ring.power(p, e) == rep
+            assert ring.power(p, -e) == rep_inv
+            rep = ring.mul(rep, p)
+            rep_inv = ring.mul(rep_inv, p_inv)
+        for _ in range(3):
+            a = rng.randint(-10**5, 10**5)
+            b = rng.randint(-10**5, 10**5)
+            assert ring.mul(ring.power(p, a), ring.power(p, b)) == ring.power(p, a + b)
+
+
+def test_ring_power_requires_constant_term_one():
+    from loopnil.errors import InternalInvariantError
+
+    ring = rule_system(2, 3).ring
+    with pytest.raises(InternalInvariantError):
+        ring.power({(): 2, (0,): 1}, 3)
+    with pytest.raises(InternalInvariantError):
+        ring.inv({(0,): 1})
+
+
+def test_extract_inverts_vector_to_poly():
+    rng = random.Random(5)
+    sys = rule_system(3, 4)
+    for bound in (1, 3, 10**4):
+        for _ in range(15):
+            vec = [rng.randint(-bound, bound) for _ in range(sys.rank)]
+            assert sys.extract(sys.vector_to_poly(vec)) == vec
+
+
+def test_weight_solver_built_once_per_weight():
+    rng = random.Random(8)
+    sys = rule_system(3, 4)
+    for _ in range(30):
+        collect(random_word(rng, 3, syllables=8, max_exp=40), 3, 4)
+        sys.extract(random_group_like(sys, rng))
+    assert sorted(sys._solver) == [1, 2, 3, 4]
+    plans = dict(sys._solver)
+    for _ in range(10):
+        sys.extract(random_group_like(sys, rng))
+    assert all(sys._solver[w] is plans[w] for w in plans)
+
+
+# integer unitriangular evaluation: 1 + N with N strictly upper triangular of
+# size n + 1 sends the free class-n group into UT(n + 1, Z)
+
+
+def _mat_mul(a, b):
+    size = len(a)
+    return [[sum(a[i][t] * b[t][j] for t in range(size)) for j in range(size)] for i in range(size)]
+
+
+def _unit(size):
+    return [[int(i == j) for j in range(size)] for i in range(size)]
+
+
+def _unit_inverse(m):
+    # (1 + N)^-1 = sum_j (-N)^j, finite because N is nilpotent
+    size = len(m)
+    neg = [[int(i == j) - m[i][j] for j in range(size)] for i in range(size)]
+    out, term = _unit(size), _unit(size)
+    for _ in range(size):
+        term = _mat_mul(term, neg)
+        out = [[out[i][j] + term[i][j] for j in range(size)] for i in range(size)]
+    return out
+
+
+def _unit_power(m, m_inv, e):
+    base = m if e >= 0 else m_inv
+    out = _unit(len(m))
+    for _ in range(abs(e)):
+        out = _mat_mul(out, base)
+    return out
+
+
+def _group_eval_tree(tree, gens, memo):
+    """Group commutators x^-1 y^-1 x y of the generator matrices, memoized
+    per tree as (value, inverse)."""
+    if tree not in memo:
+        if isinstance(tree, int):
+            x = gens[tree - 1]
+        else:
+            x, x_inv = _group_eval_tree(tree[0], gens, memo)
+            y, y_inv = _group_eval_tree(tree[1], gens, memo)
+            x = _mat_mul(_mat_mul(x_inv, y_inv), _mat_mul(x, y))
+        memo[tree] = (x, _unit_inverse(x))
+    return memo[tree]
+
+
+def test_class5_collection_matches_unitriangular_evaluation():
+    # four generators at class 5 leave some weight-5 letters that no
+    # monomial peels; the residual block must stay cheap
+    k, n = 4, 5
+    rng = random.Random(45)
+    words = [[(1, 1), (2, 1), (3, -1), (4, 1), (1, -1), (2, -1)]]
+    words += [random_word(rng, k, syllables=6) for _ in range(3)]
+    started = time.process_time()
+    forms = [collect(word, k, n) for word in words]
+    elapsed = time.process_time() - started
+    sys = rule_system(k, n)
+    for _ in range(2):
+        nils = [oracles.random_strict_upper(rng, n + 1) for _ in range(k)]
+        gens = [[[int(i == j) + x for j, x in enumerate(row)] for i, row in enumerate(nil)] for nil in nils]
+        memo = {}
+        for word, form in zip(words, forms):
+            want = _unit(n + 1)
+            for g, e in word:
+                want = _mat_mul(want, _unit_power(*_group_eval_tree(g, gens, memo), e))
+            got = _unit(n + 1)
+            for i, e in form.word():
+                got = _mat_mul(got, _unit_power(*_group_eval_tree(sys.letters[i], gens, memo), e))
+            assert got == want, word
+        # weight-5 letters are central; their group value is 1 + the Lie value
+        for i in sys.letters_of_weight(n):
+            lie = oracles.eval_tree_matrix(sys.letters[i], nils)
+            value, _ = _group_eval_tree(sys.letters[i], gens, memo)
+            assert value == [[int(a == b) + lie[a][b] for b in range(n + 1)] for a in range(n + 1)]
+    assert elapsed < 10, f"class-5 collection took {elapsed:.1f}s"
