@@ -6,6 +6,7 @@ simplicial-identity violations, failed checks), 3 resource cap exceeded,
 """
 
 import argparse
+import functools
 import io
 import sys
 import time
@@ -275,6 +276,7 @@ def cmd_fixture_check(args):
 # dispatch
 
 
+@functools.cache
 def build_parser():
     top = argparse.ArgumentParser(
         prog="loopnil",
@@ -365,9 +367,8 @@ def _error_report(verb, code, kind, message, detail=None):
 
 
 def _run(argv):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code else EXIT_OK
     verb = args.verb

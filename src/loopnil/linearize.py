@@ -31,7 +31,6 @@ class SimplicialAbelianGroup:
         self.name = name
         self._ranks = {}
         self._faces = {}
-        self._degens = {}
 
     def rank(self, q):
         if q < 0:
@@ -49,36 +48,26 @@ class SimplicialAbelianGroup:
         """d_i from degree q to degree q-1 as ``{col: value}`` rows."""
         if not (q >= 1 and 0 <= i <= q):
             raise LoopnilError(f"face d_{i} undefined in degree {q}")
-        return self._rows(self._faces, self._face_fn, q, i, q - 1, f"d_{i} in degree {q}")
-
-    def face_matrix(self, q, i):
-        """Dense matrix of d_i from degree q to degree q-1 (rows index the
-        target)."""
-        return intmat.dense_rows(self.face_rows(q, i), self.rank(q))
-
-    def degeneracy_matrix(self, q, i):
-        """Dense matrix of s_i from degree q to degree q+1."""
-        if not (q >= 0 and 0 <= i <= q):
-            raise LoopnilError(f"degeneracy s_{i} undefined in degree {q}")
-        rows = self._rows(self._degens, self._degeneracy_fn, q, i, q + 1, f"s_{i} in degree {q}")
-        return intmat.dense_rows(rows, self.rank(q))
-
-    def _rows(self, cache, fn, q, i, target, what):
-        rows = cache.get((q, i))
+        rows = self._faces.get((q, i))
         if rows is None:
-            rows = fn(q, i)
-            m, n = self.rank(target), self.rank(q)
+            rows = self._face_fn(q, i)
+            m, n = self.rank(q - 1), self.rank(q)
             if len(rows) != m or any(
                 not isinstance(row, dict)
                 or (row and (min(row) < 0 or max(row) >= n or 0 in row.values()))
                 for row in rows
             ):
                 raise InternalInvariantError(
-                    f"{what}: expected {m} rows of nonzero {{col: value}} entries "
-                    f"with columns below {n}"
+                    f"d_{i} in degree {q}: expected {m} rows of nonzero {{col: value}} "
+                    f"entries with columns below {n}"
                 )
-            cache[(q, i)] = rows
+            self._faces[(q, i)] = rows
         return rows
+
+    def face_matrix(self, q, i):
+        """Dense matrix of d_i from degree q to degree q-1 (rows index the
+        target)."""
+        return intmat.dense_rows(self.face_rows(q, i), self.rank(q))
 
 
 def reduced_linearization(space):

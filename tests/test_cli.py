@@ -213,3 +213,13 @@ def test_class_cap_exit(monkeypatch):
     monkeypatch.setenv("LOOPNIL_MAX_CLASS", "2")
     code, rep = run_json(["tower", "pi0", space("wedge2.json"), "--class", "3"])
     assert code == 3 and rep["error"]["kind"] == "resource-cap"
+
+
+def test_parser_reuse_after_usage_error():
+    # one parser serves every command in a process: a usage error in
+    # between must not change the next report
+    argv = ["nilq", presentation("cyclic2.json"), "--class", "3"]
+    first = run_command(argv)
+    assert first[0] == 0
+    assert run_command(["nilq", presentation("cyclic2.json")])[0] == 2
+    assert run_command(argv) == first

@@ -1,10 +1,18 @@
+import json
 import random
+import time
+from pathlib import Path
 
 import pytest
 
+from loopnil import intmat
 from loopnil.abelian import AbelianInvariants
+from loopnil.cli import default_names, parse_word
 from loopnil.hall import witt_rank
+from loopnil.nilpotent import collect, nil_commutator, nil_multiply, nil_power
 from loopnil.nilq import free_nilpotent_layers, nilpotent_quotient
+
+CORPUS = Path(__file__).parent / "data" / "nilq_corpus.json"
 
 
 def inv(rank, *torsion):
@@ -234,3 +242,77 @@ def test_random_presentations_closure_membership():
                 raise AssertionError(
                     f"trial {trial}: closure element escapes lattice {rels} w={low} {vec}"
                 ) from None
+
+
+def test_frozen_corpus_layers():
+    # layers of seeded random torsion presentations (classes 2..4), frozen
+    # from the closure routine that also commuted pivots with generator
+    # inverses, earlier pivots and the whole basket; written by
+    # tools/freeze_nilq_corpus.py
+    cases = json.loads(CORPUS.read_text())["cases"]
+    assert len(cases) == 100
+    for case in cases:
+        rels = [[tuple(letter) for letter in r] for r in case["relators"]]
+        q = nilpotent_quotient(case["k"], rels, case["class"])
+        assert [inv.to_json() for inv in q.layers] == case["layers"], case
+
+
+@pytest.mark.parametrize(
+    "k, rels, n, want",
+    [
+        # Tietze-free: x3 and x4 are words in x1, x2, so the quotients are
+        # those of the free group of rank 2: Witt ranks 2, 1, 2, 3
+        (4, ["x4 x1^2 x2^-1 x3", "x3 x1^-1 x2"], 4, [(2, ()), (1, ()), (2, ()), (3, ())]),
+        # torsion: Z/13 in layer 1 and nothing above it
+        (3, ["x1^2 x2^3", "x3^5 x1^-1", "x2^2 x3 x1^2"], 4, [(0, (13,)), (0, ()), (0, ()), (0, ())]),
+        # genus-2 surface group: Labute's ranks
+        (4, ["x1^-1 x2^-1 x1 x2 x3^-1 x4^-1 x3 x4"], 5, [(4, ()), (5, ()), (16, ()), (45, ()), (144, ())]),
+    ],
+)
+def test_former_cliff_presentations(k, rels, n, want):
+    words = [parse_word(r, default_names(k)) for r in rels]
+    start = time.process_time()
+    q = nilpotent_quotient(k, words, n)
+    elapsed = time.process_time() - start
+    assert layer_tuples(q) == want
+    assert elapsed < 2.0, elapsed
+
+
+def _sift(e, pivots, n):
+    """Divide e by powers of the pivots weight by weight; the remainder."""
+    for w in range(1, n + 1):
+        vec = e.weight_slice(w)
+        if not any(vec):
+            continue
+        layer = [p for p in pivots if p.lowest_weight() == w]
+        assert layer, (w, vec)
+        span = intmat.transpose([p.weight_slice(w) for p in layer], ncols=len(vec))
+        x, _ = intmat.solve_columns(span, [[v] for v in vec], a_cols=len(layer), b_cols=1)
+        for p, (c,) in zip(layer, x):
+            if c:
+                e = nil_multiply(e, nil_power(p, -c))
+        assert not any(e.weight_slice(w))
+    return e
+
+
+def test_pivots_form_a_consistent_polycyclic_sequence():
+    # every relator and every commutator of a pivot with a generator sifts
+    # to the identity through the pivots, weight by weight
+    rng = random.Random(61)
+    exps = (-3, -2, -1, 1, 2, 3)
+    sifted = 0
+    for _ in range(40):
+        k = rng.choice((2, 3))
+        n = rng.randint(2, 4)
+        rels = [
+            [(rng.randint(1, k), rng.choice(exps)) for _ in range(rng.randint(1, 4))]
+            for _ in range(rng.randint(1, k))
+        ]
+        q = nilpotent_quotient(k, rels, n)
+        gens = [collect([(i, 1)], k, n) for i in range(1, k + 1)]
+        elements = [collect(r, k, n) for r in rels]
+        elements += [nil_commutator(p, g) for p in q.pivots for g in gens]
+        for e in elements:
+            assert _sift(e, q.pivots, n).is_identity, (rels, n, str(e))
+        sifted += len(elements)
+    assert sifted > 700
