@@ -16,17 +16,16 @@ from .simplicial import require_valid
 
 
 class SimplicialAbelianGroup:
-    """Degreewise finitely generated abelian groups with integer face and
-    degeneracy maps acting on chosen generating sets.
+    """Degreewise finitely generated abelian groups with integer face maps
+    acting on chosen generating sets; homotopy reads only the faces.
 
-    The callbacks give each map as ``{col: value}`` rows of nonzero entries,
-    one row per generator of the target degree and one column per generator
-    of the source degree."""
+    The face callback gives each map as ``{col: value}`` rows of nonzero
+    entries, one row per generator of the target degree and one column per
+    generator of the source degree."""
 
-    def __init__(self, rank_fn, face_fn, degeneracy_fn, torsion_fn=None, name=""):
+    def __init__(self, rank_fn, face_fn, torsion_fn=None, name=""):
         self._rank_fn = rank_fn
         self._face_fn = face_fn
-        self._degeneracy_fn = degeneracy_fn
         self._torsion_fn = torsion_fn
         self.name = name
         self._ranks = {}
@@ -73,7 +72,7 @@ class SimplicialAbelianGroup:
 def reduced_linearization(space):
     """Free simplicial abelian group on a reduced space modulo the basepoint
     ray: degree q is free on all q-simplices except the basepoint degeneracy,
-    with induced face and degeneracy maps."""
+    with induced face maps."""
     require_valid(space)
 
     def basis(q):
@@ -104,10 +103,7 @@ def reduced_linearization(space):
     def face(q, i):
         return induced(q, q - 1, lambda ref: space.face(ref, i))
 
-    def degeneracy(q, i):
-        return induced(q, q + 1, lambda ref: space.degeneracy(ref, i))
-
-    return SimplicialAbelianGroup(rank, face, degeneracy, name=f"Zred({space.name})")
+    return SimplicialAbelianGroup(rank, face, name=f"Zred({space.name})")
 
 
 def moore_homology(group, s):

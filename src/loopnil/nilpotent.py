@@ -2,14 +2,34 @@
 
 Elements of the class-n quotient of a rank-k free group are ordered products
 of Hall-basis commutators with integer exponents.  Arithmetic is collection
-from the left; the commutation rule between two Hall letters is computed once
-inside the degree-truncated free associative ring (generators map to 1 + X_i,
-which is faithful on the class-n quotient) and cached.  Normal-form exponents
-are read back from a ring element weight by weight, through a plan fixed per
-weight: letters peeled one pivot monomial at a time, then the few letters no
-monomial separates, solved per multidegree from a Smith form.
+from the left, which swaps adjacent letters u > v as u^a v^b = v^b u^a
+[u^a, v^b].  Computations run inside the degree-truncated free associative
+ring (generators map to 1 + X_i, which is faithful on the class-n quotient).
+Normal-form exponents are read back from a ring element weight by weight,
+through a plan fixed per weight: letters peeled one pivot monomial at a time,
+then the few letters no monomial separates, solved per multidegree from a
+Smith form.
+
+Collection polynomials (P. Hall).  For letters u, v of weights p, q every
+normal-form exponent of [u^a, v^b] is sum c_ij C(a, i) C(b, j) over i, j >= 1
+with i p + j q <= n, with integer c_ij.  Proof: u^a = sum_i C(a, i) (u - 1)^i
+for every integer a, and (u - 1)^i starts in degree i p; likewise for v^b,
+u^-a and v^-b.  Call a term C(a, i) C(b, j) X graded when X starts in degree
+>= i p + j q.  Products of graded terms are sums of graded terms, because
+C(a, i) C(a, i') is an integer combination of C(a, m) with m <= i + i'.  So
+each degree-d coefficient of [u^a, v^b] is a combination of C(a, i) C(b, j)
+with i p + j q <= d <= n.  Extraction keeps this: a weight-w exponent e is
+a rational combination of degree-w coefficients, and the peeled factor
+x^-e = sum_m C(-e, m) (x - 1)^m is graded again, since (x - 1)^m starts in
+degree m w.  The exponents are integers at every integer (a, b), so the c_ij
+are integers (the C(a, i) C(b, j) are a basis of the integer-valued
+polynomials), and they vanish for i = 0 or j = 0 because [u^a, v^b] = 1
+when a = 0 or b = 0.  Hence one rule per letter pair, interpolated from the
+grid i, j >= 1, i p + j q <= n, serves every exponent pair; letters with
+p + q > n commute and need none.
 """
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -34,8 +54,11 @@ class TruncatedRing:
         """1 + X_i for the 0-based generator i."""
         return {(): 1, (i,): 1}
 
-    def mul(self, p, q):
-        cap = self.degree
+    def mul(self, p, q, cap=None):
+        """``p q`` with every term above degree ``cap`` (the ring's degree
+        by default) dropped."""
+        if cap is None:
+            cap = self.degree
         out = {}
         for ma, ca in p.items():
             la = len(ma)
@@ -52,21 +75,24 @@ class TruncatedRing:
     def inv(self, p):
         return self.power(p, -1)
 
-    def power(self, p, e):
-        """``p ** e`` for a polynomial with constant term 1 and any integer
-        ``e``: the binomial series sum_j C(e, j) (p - 1)^j, finite because
-        (p - 1)^j has no terms below degree j."""
+    def power(self, p, e, cap=None):
+        """``p ** e`` up to degree ``cap`` (the ring's degree by default) for
+        a polynomial with constant term 1 and any integer ``e``: the binomial
+        series sum_j C(e, j) (p - 1)^j, finite because (p - 1)^j has no terms
+        below degree j."""
         if p.get((), 0) != 1:
             raise InternalInvariantError("power requires constant term 1")
-        u = {m: c for m, c in p.items() if m}
+        if cap is None:
+            cap = self.degree
+        u = {m: c for m, c in p.items() if m and len(m) <= cap}
         out = dict(self.one)
         term = self.one
         binom = 1
-        for j in range(1, self.degree + 1):
+        for j in range(1, cap + 1):
             binom = binom * (e - j + 1) // j
             if not binom:
                 break
-            term = self.mul(term, u) if j > 1 else u
+            term = self.mul(term, u, cap) if j > 1 else u
             if not term:
                 break
             for m, c in term.items():
@@ -77,10 +103,33 @@ class TruncatedRing:
                     del out[m]
         return out
 
-    def commutator(self, p, q, p_inv=None, q_inv=None):
-        a = p_inv if p_inv is not None else self.inv(p)
-        b = q_inv if q_inv is not None else self.inv(q)
-        return self.mul(self.mul(a, b), self.mul(p, q))
+    def commutator(self, p, q):
+        """``p^-1 q^-1 p q`` for polynomials with constant term 1, as
+        1 + p^-1 q^-1 (pq - qp).  With u = p - 1 and v = q - 1, pq - qp is
+        uv - vu and has no terms below degree lo(u) + lo(v) (lo: the lowest
+        degree present), so the inverses are needed only up to degree
+        ``degree - lo(u) - lo(v)``."""
+        u = {m: c for m, c in p.items() if m}
+        v = {m: c for m, c in q.items() if m}
+        diff = self.bracket(u, v)
+        if not diff:
+            return dict(self.one)
+        cut = self.degree - min(map(len, u)) - min(map(len, v))
+        inv = self.mul(self.power(p, -1, cut), self.power(q, -1, cut), cut)
+        out = self.mul(inv, diff)
+        out[()] = 1
+        return out
+
+    def bracket(self, p, q):
+        """``pq - qp``."""
+        out = self.mul(p, q)
+        for m, c in self.mul(q, p).items():
+            v = out.get(m, 0) - c
+            if v:
+                out[m] = v
+            elif m in out:
+                del out[m]
+        return out
 
     def homogeneous(self, p, w):
         return {m: c for m, c in p.items() if len(m) == w}
@@ -94,12 +143,20 @@ class TruncatedRing:
 
 
 class RuleSystem:
-    """Hall letters, their ordering, and cached commutation rules for the
-    free class-n quotient on k generators.
+    """Hall letters, their ordering, and commutation rules for the free
+    class-n quotient on k generators.
+
+    The rule of a letter pair hi > lo is its collection polynomial: the
+    exponents of [hi^a, lo^b] as integer combinations of C(a, i) C(b, j)
+    with i, j >= 1 and i p + j q <= n, for p, q the weights of hi and lo.
+    The bound holds because hi^a - 1 = sum_i C(a, i) (hi - 1)^i and
+    (hi - 1)^i starts in degree i p in the truncated ring (module docstring).
+    A rule is built on the pair's first use and serves every exponent pair;
+    pairs with p + q > n commute and get none.
 
     Built through :func:`rule_system`, which checks the total-rank cap.
-    After construction the caches only grow monotonically under a lock, so
-    concurrent readers are safe.
+    After construction the caches (at most one rule per letter pair) only
+    grow monotonically under a lock, so concurrent readers are safe.
     """
 
     def __init__(self, k, n):
@@ -116,8 +173,7 @@ class RuleSystem:
         self.index = {t: i for i, t in enumerate(self.letters)}
         self.ring = TruncatedRing(k, n)
         self._poly = {}
-        self._poly_inv = {}
-        self._tails = {}
+        self._rules = {}
         self._lie_polys = {}
         self._solver = {}
         self._lock = threading.Lock()
@@ -137,24 +193,11 @@ class RuleSystem:
             if isinstance(t, int):
                 p = self.ring.gen_unit(t - 1)
             else:
-                a = self.index[t[0]]
-                b = self.index[t[1]]
                 p = self.ring.commutator(
-                    self.letter_poly(a),
-                    self.letter_poly(b),
-                    self.letter_inv(a),
-                    self.letter_inv(b),
+                    self.letter_poly(self.index[t[0]]), self.letter_poly(self.index[t[1]])
                 )
             with self._lock:
                 self._poly[i] = p
-        return p
-
-    def letter_inv(self, i):
-        p = self._poly_inv.get(i)
-        if p is None:
-            p = self.ring.inv(self.letter_poly(i))
-            with self._lock:
-                self._poly_inv[i] = p
         return p
 
     # -- Lie expansion data for exponent extraction ---------------------------
@@ -165,17 +208,7 @@ class RuleSystem:
             if isinstance(tree, int):
                 p = {(tree - 1,): 1}
             else:
-                a = self._lie_poly(tree[0])
-                b = self._lie_poly(tree[1])
-                ab = self.ring.mul(a, b)
-                ba = self.ring.mul(b, a)
-                p = dict(ab)
-                for m, c in ba.items():
-                    v = p.get(m, 0) - c
-                    if v:
-                        p[m] = v
-                    elif m in p:
-                        del p[m]
+                p = self.ring.bracket(self._lie_poly(tree[0]), self._lie_poly(tree[1]))
             with self._lock:
                 self._lie_polys[tree] = p
         return p
@@ -308,30 +341,71 @@ class RuleSystem:
         return out
 
     def block_tail(self, hi, a, lo, b):
-        """Normal-form word of [hi^a, lo^b] for letters hi > lo; supported on
-        letters of weight >= weight(hi) + weight(lo)."""
-        key = (hi, a, lo, b)
-        tail = self._tails.get(key)
-        if tail is None:
-            w = self.weights[hi] + self.weights[lo]
-            if w > self.n:
-                tail = ()
-            else:
-                ring = self.ring
-                u = self.letter_poly(hi)
-                v = self.letter_poly(lo)
-                comm = ring.commutator(
-                    ring.power(u, a), ring.power(v, b), ring.power(u, -a), ring.power(v, -b)
-                )
-                vec = self.extract(comm, start_weight=w)
-                tail = tuple((i, e) for i, e in enumerate(vec) if e)
-            with self._lock:
-                self._tails[key] = tail
+        """Normal-form word of [hi^a, lo^b] for letters hi > lo, a list of
+        (letter, exponent) pairs supported on letters of weight >=
+        weight(hi) + weight(lo): the pair's collection polynomial evaluated
+        at (a, b).  Empty, with no rule built, when that weight exceeds n."""
+        rule = self._rules.get((hi, lo))
+        if rule is None:
+            if self.weights[hi] + self.weights[lo] > self.n:
+                return []
+            rule = self._pair_rule(hi, lo)
+        top_a, top_b, points, terms = rule
+        ca = _binomials(a, top_a)
+        cb = _binomials(b, top_b)
+        scale = [ca[i] * cb[j] for i, j in points]
+        tail = []
+        for letter, coeffs in terms:
+            e = sum(c * scale[idx] for idx, c in coeffs)
+            if e:
+                tail.append((letter, e))
         return tail
+
+    def _pair_rule(self, hi, lo):
+        """Collection polynomial of the letters hi > lo, of weights p and q:
+        the exponent of each letter in [hi^a, lo^b] as sum c_ij C(a, i) C(b, j)
+        over i, j >= 1 with i p + j q <= n (module docstring).  The values
+        at the grid points (a, b) = (i, j) come from ring derivations; c_ij is
+        their Newton forward difference, the values on the axes being 0.
+
+        Kept as (largest i, largest j, the points (i, j), and per letter in
+        ascending order its nonzero (point index, c_ij) pairs)."""
+        p, q, n = self.weights[hi], self.weights[lo], self.n
+        ring = self.ring
+        u, v = self.letter_poly(hi), self.letter_poly(lo)
+        top_a, top_b = (n - q) // p, (n - p) // q
+        points = [
+            (i, j) for i in range(1, top_a + 1) for j in range(1, (n - i * p) // q + 1)
+        ]
+        u_pows = [ring.one] + [ring.power(u, i) for i in range(1, top_a + 1)]
+        v_pows = [ring.one] + [ring.power(v, j) for j in range(1, top_b + 1)]
+        first = self.weight_range[p + q].start
+        values = {}
+        for i, j in points:
+            vec = self.extract(ring.commutator(u_pows[i], v_pows[j]), start_weight=p + q)
+            values[i, j] = [(letter, e) for letter, e in enumerate(vec[first:], first) if e]
+        coeffs = {}
+        for idx, (i, j) in enumerate(points):
+            acc = {}
+            for s in range(1, i + 1):
+                for t in range(1, j + 1):
+                    sign = -1 if (i + j - s - t) % 2 else 1
+                    f = sign * math.comb(i, s) * math.comb(j, t)
+                    for letter, e in values[s, t]:
+                        acc[letter] = acc.get(letter, 0) + f * e
+            for letter, c in acc.items():
+                if c:
+                    coeffs.setdefault(letter, []).append((idx, c))
+        terms = tuple((letter, tuple(cs)) for letter, cs in sorted(coeffs.items()))
+        rule = (top_a, top_b, points, terms)
+        with self._lock:
+            self._rules[hi, lo] = rule
+        return rule
 
     def collect(self, word):
         """Collect a word of (letter, exponent) pairs into normal form."""
         work = reduce_free_word(word)
+        weights, n = self.weights, self.n
         pos = 0
         while pos + 1 < len(work):
             u, a = work[pos]
@@ -342,18 +416,31 @@ class RuleSystem:
                     work[pos : pos + 2] = [(u, merged)]
                 else:
                     work[pos : pos + 2] = []
-                pos = max(pos - 1, 0)
+                if pos:
+                    pos -= 1
             elif u < v:
                 pos += 1
             else:
-                # u > v: swap whole blocks, u^a v^b = v^b u^a [u^a, v^b]
-                tail = self.block_tail(u, a, v, b)
-                work[pos : pos + 2] = [(v, b), (u, a)] + list(tail)
-                pos = max(pos - 1, 0)
+                # u > v: swap whole blocks, u^a v^b = v^b u^a [u^a, v^b]; the
+                # commutator is trivial when the weights sum past n
+                if weights[u] + weights[v] > n:
+                    work[pos], work[pos + 1] = (v, b), (u, a)
+                else:
+                    work[pos : pos + 2] = [(v, b), (u, a)] + self.block_tail(u, a, v, b)
+                if pos:
+                    pos -= 1
         vec = [0] * self.rank
         for letter, exp in work:
             vec[letter] += exp
         return vec
+
+
+def _binomials(x, top):
+    """[C(x, 0), ..., C(x, top)] for any integer x."""
+    out = [1]
+    for i in range(1, top + 1):
+        out.append(out[-1] * (x - i + 1) // i)
+    return out
 
 
 _systems = {}

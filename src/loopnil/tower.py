@@ -210,12 +210,7 @@ def loop_linearization(group):
     def face(q, i):
         return intmat.sparse_rows(abelianized_matrix(group, q, i, "face"))
 
-    def degeneracy(q, i):
-        return intmat.sparse_rows(abelianized_matrix(group, q, i, "degeneracy"))
-
-    return SimplicialAbelianGroup(
-        rank, face, degeneracy, name=f"ab G({group.space.name})"
-    )
+    return SimplicialAbelianGroup(rank, face, name=f"ab G({group.space.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +378,8 @@ class LayerObject:
         def face(q, i):
             return self._lie_route(lie_rows, "face", q, i)
 
-        def degeneracy(q, i):
-            return self._lie_route(lie_rows, "degeneracy", q, i)
-
         return SimplicialAbelianGroup(
-            rank, face, degeneracy, name=f"layer {self.n} of G({self.group.space.name})"
+            rank, face, name=f"layer {self.n} of G({self.group.space.name})"
         )
 
 

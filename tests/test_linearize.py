@@ -149,7 +149,6 @@ def test_moore_homology_rejects_torsion_degrees():
     g = SimplicialAbelianGroup(
         lambda q: 1 if q >= 0 else 0,
         lambda q, i: [[1]],
-        lambda q, i: [[1]],
         torsion_fn=lambda q: (2,) if q == 1 else (),
         name="torsion-test",
     )
@@ -183,7 +182,6 @@ def test_boundary_squared_nonzero_raises():
     g = SimplicialAbelianGroup(
         lambda q: (1, 2, 1)[q] if q <= 2 else 0,
         lambda q, i: faces[(q, i)],
-        lambda q, i: [],
         name="not-simplicial",
     )
     with pytest.raises(InternalInvariantError, match="boundary squared"):
@@ -197,7 +195,7 @@ def test_boundary_squared_nonzero_raises():
 def test_face_rows_are_shape_checked(rows):
     # degree 1 and degree 0 both have rank 2: d_0 needs two {col: value}
     # rows of nonzero entries in columns 0 and 1
-    g = SimplicialAbelianGroup(lambda q: 2, lambda q, i: rows, lambda q, i: [], name="bad")
+    g = SimplicialAbelianGroup(lambda q: 2, lambda q, i: rows, name="bad")
     with pytest.raises(InternalInvariantError, match="expected 2 rows"):
         g.face_rows(1, 0)
 

@@ -22,6 +22,7 @@ from loopnil.nilpotent import (
     projection_hom,
     reduce_free_word,
     rule_system,
+    RuleSystem,
 )
 
 import oracles
@@ -232,8 +233,9 @@ def test_element_arithmetic_reads_no_caps(monkeypatch):
 # ring powers, extraction and the per-weight solver
 
 
-def random_group_like(sys, rng, bound=3):
-    vec = [rng.randint(-bound, bound) for _ in range(sys.rank)]
+def random_group_like(sys, rng, bound=3, low=1):
+    """Ordered product of random letter powers, on letters of weight >= low."""
+    vec = [rng.randint(-bound, bound) if w >= low else 0 for w in sys.weights]
     return sys.vector_to_poly(vec)
 
 
@@ -289,6 +291,103 @@ def test_weight_solver_built_once_per_weight():
     for _ in range(10):
         sys.extract(random_group_like(sys, rng))
     assert all(sys._solver[w] is plans[w] for w in plans)
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 4), (2, 6)])
+def test_cut_commutator_matches_three_products(k, n):
+    rng = random.Random(71 * k + n)
+    sys = rule_system(k, n)
+    ring = sys.ring
+    for _ in range(12):
+        p = random_group_like(sys, rng, low=rng.randint(1, n + 1))
+        q = random_group_like(sys, rng, low=rng.randint(1, n + 1))
+        want = ring.mul(ring.mul(ring.inv(p), ring.inv(q)), ring.mul(p, q))
+        assert ring.commutator(p, q) == want
+
+
+def _direct_tail(sys, hi, a, lo, b):
+    """[hi^a, lo^b] from three full ring products and one extraction."""
+    ring = sys.ring
+    u, v = sys.letter_poly(hi), sys.letter_poly(lo)
+    inv = ring.mul(ring.power(u, -a), ring.power(v, -b))
+    comm = ring.mul(inv, ring.mul(ring.power(u, a), ring.power(v, b)))
+    vec = sys.extract(comm, start_weight=sys.weights[hi] + sys.weights[lo])
+    return [(i, e) for i, e in enumerate(vec) if e]
+
+
+@pytest.mark.parametrize("k,n", [(2, 6), (3, 5), (6, 4)])
+def test_pair_rules_match_direct_derivation(k, n):
+    rng = random.Random(97 * k + n)
+    sys = rule_system(k, n)
+    pairs = [
+        (hi, lo)
+        for hi in range(sys.rank)
+        for lo in range(hi)
+        if sys.weights[hi] + sys.weights[lo] <= n
+    ]
+    chosen = rng.sample(pairs, 10) + [(1, 0), pairs[-1]]
+    for hi, lo in chosen:
+        for _ in range(3):
+            a = rng.choice([rng.randint(-6, 6), rng.randint(-10**5, 10**5)])
+            b = rng.choice([rng.randint(-6, 6), rng.randint(-10**5, 10**5)])
+            assert sys.block_tail(hi, a, lo, b) == _direct_tail(sys, hi, a, lo, b), (hi, a, lo, b)
+        assert sys.block_tail(hi, -10**5, lo, 10**5) == _direct_tail(sys, hi, -10**5, lo, 10**5)
+
+
+def _count_calls(obj, name, log):
+    """Route obj.name through a wrapper that appends its arguments to log."""
+    original = getattr(obj, name)
+
+    def counted(*args, **kwargs):
+        log.append(args)
+        return original(*args, **kwargs)
+
+    setattr(obj, name, counted)
+
+
+def test_one_rule_per_letter_pair():
+    rng = random.Random(12)
+    sys = RuleSystem(3, 4)
+    built, extracted = [], []
+    _count_calls(sys, "_pair_rule", built)
+    _count_calls(sys, "extract", extracted)
+    exps = [-10**5, -7, -1, 1, 2, 3, 10**5]
+    for _ in range(40):
+        sys.collect([(rng.randrange(sys.rank), rng.choice(exps)) for _ in range(8)])
+    assert built and len(built) == len(set(built)) == len(sys._rules)
+    assert set(built) == set(sys._rules)
+    assert all(sys.weights[hi] + sys.weights[lo] <= sys.n for hi, lo in built)
+    assert len(extracted) == sum(len(rule[2]) for rule in sys._rules.values())
+    # a fresh pair: one extraction per grid point, then none for any exponents
+    hi, lo = next(
+        (hi, lo)
+        for hi in range(sys.rank)
+        for lo in range(hi)
+        if sys.weights[hi] + sys.weights[lo] <= sys.n and (hi, lo) not in sys._rules
+    )
+    before = len(extracted)
+    sys.block_tail(hi, 1, lo, 1)
+    rule = sys._rules[hi, lo]
+    assert len(extracted) - before == len(rule[2])
+    for a, b in [(5, -3), (-10**5, 2), (10**5, 10**5), (0, 7)]:
+        sys.block_tail(hi, a, lo, b)
+    assert len(extracted) - before == len(rule[2])
+    assert sys._rules[hi, lo] is rule and built.count((hi, lo)) == 1
+
+
+def test_commuting_pairs_build_nothing():
+    sys = RuleSystem(2, 3)
+    tails, extracted = [], []
+    _count_calls(sys, "block_tail", tails)
+    _count_calls(sys, "extract", extracted)
+    w2 = sys.weight_range[2].start
+    w3, w3b = sys.weight_range[3]
+    # every inversion pairs letters whose weights sum past the class
+    word = [(0, 1), (1, 1), (w3b, 2), (w2, 1), (w3, -1), (w2, 5)]
+    assert sys.collect(word) == [1, 1, 6, -1, 2]
+    assert tails == [] and extracted == [] and sys._rules == {}
+    assert sys.block_tail(w3, 5, 0, -7) == []
+    assert extracted == [] and sys._rules == {}
 
 
 # integer unitriangular evaluation: 1 + N with N strictly upper triangular of
