@@ -59,7 +59,6 @@ from .tower import (
     layer,
     layer_homotopy,
     loop_group,
-    loop_linearization,
     pi0,
     tower_stage,
 )

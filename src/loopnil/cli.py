@@ -61,11 +61,13 @@ def read_space(path):
 
 def parse_word(text, names):
     """Whitespace-separated letters with optional integer exponents, e.g.
-    "b a b^-1"; letters may also be written x1, x2, ..."""
+    "b a b^-1"; letters may also be written x1, x2, ... up to the number
+    of generators that ``names`` indexes."""
+    k = len(set(names.values()))
     word = []
     for token in text.split():
-        name, _, exp = token.partition("^")
-        if exp:
+        name, caret, exp = token.partition("^")
+        if caret:
             try:
                 e = int(exp, 10)
             except ValueError:
@@ -78,8 +80,8 @@ def parse_word(text, names):
             g = int(name[1:])
         else:
             raise SchemaViolation(f"unknown generator {name!r}")
-        if not 1 <= g <= len(names):
-            raise SchemaViolation(f"generator {name!r} out of range 1..{len(names)}")
+        if not 1 <= g <= k:
+            raise SchemaViolation(f"generator {name!r} out of range 1..{k}")
         word.append((g, e))
     return word
 

@@ -311,39 +311,17 @@ def _collapse_matrix(ranks, drop):
     return out
 
 
-def cross_effect_blocks(n, ranks):
-    """The signed collapse maps Lie_n(sum of all blocks) -> Lie_n(sum minus
-    one block), one matrix per dropped index (sign alternates with the
-    position of the dropped summand)."""
+def cross_effect_kernel(n, ranks):
+    """Invariants of ker(L0 -> L1) in the cross-effect complex of Lie_n.
+
+    The common kernel of the n+1 collapse maps is the kernel of their
+    stacked rows, whatever their signs; kernels of integer matrices are
+    free, so the rank is all there is."""
     ranks = list(ranks)
     if len(ranks) != n + 1:
         raise LoopnilError(f"expected {n + 1} ranks, got {len(ranks)}")
     total = sum(ranks)
-    blocks = []
-    for s in range(n + 1):
-        coll = _collapse_matrix(ranks, s)
-        mat = lie_of_map(coll, n, src_k=total, tgt_k=total - ranks[s])
-        if s % 2 == 1:
-            mat = [[-v for v in row] for row in mat]
-        blocks.append(mat)
-    return blocks
-
-
-def cross_effect_kernel(n, ranks):
-    """Invariants of ker(L0 -> L1) in the cross-effect complex of Lie_n.
-
-    Computed by intersecting the kernels of the collapse maps one block at
-    a time; kernels of integer matrices are free, so no torsion can occur.
-    """
-    total = sum(ranks)
-    dim = witt_rank(total, n)
-    basis = intmat.identity(dim)
-    width = dim
-    for mat in cross_effect_blocks(n, ranks):
-        if width == 0:
-            break
-        proj = intmat.matmul(mat, basis, b_cols=width)
-        kb, p = intmat.kernel_basis(proj, ncols=width)
-        basis = intmat.matmul(basis, kb, a_cols=width, b_cols=p)
-        width = p
-    return AbelianInvariants(width, ())
+    rows = []
+    for s, r in enumerate(ranks):
+        rows += lie_rows(_collapse_matrix(ranks, s), n, total, total - r)
+    return AbelianInvariants(witt_rank(total, n) - len(intmat.sparse_invariant_factors(rows)))

@@ -4,13 +4,14 @@ Matrices are plain ``list[list[int]]`` with Python's arbitrary-precision
 integers; a matrix with zero rows or columns is represented with explicit
 shape arguments where needed.  Dense pivots are chosen by minimal absolute
 value because intermediate entry blowup is the known failure mode of integer
-elimination.  Invariant factors come from a sparse elimination of unit
-pivots that keeps no transform; the dense Smith form keeps its transforms
-only for the callers that read them.
+elimination.  ``sparse_invariant_factors`` is the one route to invariant
+factors: a sparse elimination of unit pivots over ``{col: value}`` rows
+that keeps no transform.  The dense Smith form keeps its transforms only
+for ``nilpotent._factor_block``, which reads them; ``kernel_basis`` and
+``solve_columns`` remain as tools for the tests.
 """
 
 import heapq
-from itertools import compress
 
 from .errors import InternalInvariantError
 
@@ -224,12 +225,6 @@ def diagonal(d, m=None, n=None):
     return [d[i][i] for i in range(r)]
 
 
-def sparse_rows(a):
-    """The rows of ``a`` as ``{col: value}`` dicts of their nonzero entries."""
-    cols = list(range(len(a[0]) if a else 0))
-    return [dict(zip(compress(cols, row), compress(row, row))) for row in a]
-
-
 def dense_rows(rows, ncols):
     """The matrix with ``ncols`` columns whose rows are the ``{col: value}``
     dicts ``rows``."""
@@ -238,12 +233,6 @@ def dense_rows(rows, ncols):
         for j, x in row.items():
             dense[j] = x
     return out
-
-
-def invariant_factors(a, ncols=None):
-    """Nonzero diagonal entries of the Smith form, in divisibility order;
-    the column count of an empty ``a`` does not change them."""
-    return sparse_invariant_factors(sparse_rows(a))
 
 
 def sparse_invariant_factors(rows):
@@ -309,15 +298,6 @@ def sparse_invariant_factors(rows):
     return [1] * units + [x for x in diagonal(dense, m, n) if x]
 
 
-def cokernel_invariants(a, ncols=None):
-    """``(rank, torsion)`` of ``Z^m / column-lattice(a)`` for an m x n map."""
-    m, n = shape(a, ncols)
-    facs = invariant_factors(a, ncols=n)
-    rank = m - len(facs)
-    torsion = [x for x in facs if x != 1]
-    return rank, torsion
-
-
 def kernel_basis(a, ncols=None):
     """Columns spanning ``ker(a)`` as a matrix (n x p); saturated lattice."""
     m, n = shape(a, ncols)
@@ -363,14 +343,3 @@ def solve_columns(a, b, a_cols=None, b_cols=None):
     x = matmul(v, z, b_cols=p)
     return x, p
 
-
-def quotient_invariants(span, sub, span_cols=None, sub_cols=None):
-    """Invariants of ``lattice(span) / lattice(sub)`` with ``sub`` inside the
-    span; both given by columns over the same ambient Z^m."""
-    _, k = shape(span, span_cols)
-    if k == 0:
-        return 0, []
-    coords, p = solve_columns(span, sub, a_cols=span_cols, b_cols=sub_cols)
-    if p == 0:
-        return k, []
-    return cokernel_invariants(coords, ncols=p)

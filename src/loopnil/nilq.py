@@ -139,13 +139,14 @@ def nilpotent_quotient(k, relators, n, caps=None):
         for e in basket:
             (active if e.lowest_weight() == w else rest).append(e)
         pivots, leftovers = _echelon_weight(active, w)
-        rank_w = witt_rank(k, w)
-        if pivots:
-            rows = [p.weight_slice(w) for p in pivots]
-            cols = intmat.transpose(rows, ncols=rank_w)
-            layers.append(AbelianInvariants(*intmat.cokernel_invariants(cols, ncols=len(rows))))
-        else:
-            layers.append(AbelianInvariants(rank_w, ()))
+        # the slices as rows: a matrix and its transpose share their
+        # invariant factors
+        facs = intmat.sparse_invariant_factors(
+            {j: v for j, v in enumerate(p.weight_slice(w)) if v} for p in pivots
+        )
+        layers.append(
+            AbelianInvariants(witt_rank(k, w) - len(facs), [x for x in facs if x != 1])
+        )
         # the rest of the closure: everything not yet consumed plus the
         # commutators of the final weight-w pivots with the generators
         basket = rest + leftovers

@@ -198,6 +198,17 @@ class SimplicialSet:
                             }
                         )
                         broken = True
+                    elif word and word[0] > q - 2:
+                        # s_j needs a source of dimension >= j; strict
+                        # decrease then bounds the rest of the word
+                        out.append(
+                            {
+                                "simplex": cid,
+                                "rule": "canonical-form",
+                                "detail": f"face {i} applies s{word[0]} to a {q - 2}-simplex",
+                            }
+                        )
+                        broken = True
                 if broken or q < 2:
                     continue
                 for j in range(q + 1):

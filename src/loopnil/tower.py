@@ -199,20 +199,6 @@ def abelianized_matrix(group, q, i, kind):
     return out
 
 
-def loop_linearization(group):
-    """The abelianization of the loop group as a simplicial abelian group;
-    isomorphic to the reduced linearization of the space shifted through the
-    loop-group construction (the basepoint ray and s0-degeneracies die)."""
-
-    def rank(q):
-        return group.gen_count(q)
-
-    def face(q, i):
-        return intmat.sparse_rows(abelianized_matrix(group, q, i, "face"))
-
-    return SimplicialAbelianGroup(rank, face, name=f"ab G({group.space.name})")
-
-
 # ---------------------------------------------------------------------------
 # tower stages
 
@@ -390,11 +376,13 @@ def layer(group, n, caps=None):
 
 
 def layer_homotopy(group, n, s, caps=None):
-    """pi_s of the weight-n layer (Lie-functor side), via Moore homology."""
+    """pi_s of the weight-n layer (Lie-functor side), via Moore homology.
+
+    Lie_1 is the identity functor, so layer 1 is the abelianized loop group:
+    the reduced linearization of the space shifted through the loop-group
+    construction (the basepoint ray and s0-degeneracies die)."""
     caps = caps or group.caps
     if s < 0:
         raise LoopnilError(f"degree must be >= 0, got {s}")
     caps.check_degree(s + 1, f"layer homotopy over {group.space.name}")
-    if n == 1:
-        return moore_homology(loop_linearization(group), s)
     return moore_homology(layer(group, n, caps).abelian(), s)

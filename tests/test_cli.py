@@ -59,6 +59,36 @@ def test_parse_error_codes_distinct():
     assert code == 2 and rep["error"]["code"] == 3
 
 
+def face(word, base="*"):
+    return {"degeneracies": word, "base": base}
+
+
+@pytest.mark.parametrize(
+    "edges, faces",
+    [
+        ([], [face([5]), face([0]), face([0])]),
+        ([{"id": "e", "faces": [face([])] * 2}], [face([], "e"), face([1]), face([], "e")]),
+    ],
+)
+def test_degeneracy_out_of_range_is_a_validation_failure(tmp_path, edges, faces):
+    # a face word s_j on a simplex of dimension below j is not canonical
+    obj = {
+        "name": "bad",
+        "simplices": [[{"id": "*", "faces": []}], edges, [{"id": "t", "faces": faces}]],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, rep = run_json(["validate", str(path)])
+    assert code == 2 and rep["result"]["ok"] is False
+    assert rep["result"]["violations"][0]["rule"] == "canonical-form"
+    for argv in (
+        ["homology", str(path), "--degree", "1"],
+        ["layer-homotopy", str(path), "--class", "1", "--degree", "0"],
+    ):
+        code, rep = run_json(argv)
+        assert code == 2 and rep["error"]["kind"] == "simplicial-identity", argv
+
+
 def test_homology_results():
     code, rep = run_json(["homology", space("s2.json"), "--degree", "2"])
     assert code == 0 and rep["result"] == {"rank": 1, "torsion": []}
@@ -89,6 +119,26 @@ def test_collect_word_aliases():
         ["collect", "--generators", "2", "--class", "2", "--word", "q a"]
     )
     assert code == 2 and rep["error"]["code"] == 2
+
+
+@pytest.mark.parametrize(
+    "word, kind, message",
+    [
+        ("a^ b", "malformed-json", "bad exponent in token 'a^'"),
+        ("x3", "schema", "generator 'x3' out of range 1..2"),
+        ("x5", "schema", "generator 'x5' out of range 1..2"),
+    ],
+)
+def test_word_exponents_and_generator_range(tmp_path, word, kind, message):
+    # the range counts generators, not their a..z and x<i> spellings
+    code, rep = run_json(["collect", "--generators", "2", "--class", "2", "--word", word])
+    assert code == 2
+    assert (rep["error"]["kind"], rep["error"]["message"]) == (kind, message)
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps({"generators": ["a", "b"], "relators": [word]}))
+    code, rep = run_json(["nilq", str(path), "--class", "2"])
+    assert code == 2
+    assert (rep["error"]["kind"], rep["error"]["message"]) == (kind, message)
 
 
 def test_nilq_cli():

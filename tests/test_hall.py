@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -187,6 +188,14 @@ def test_cross_effect_kernel_trivial():
     assert hall.cross_effect_kernel(2, [1, 1, 1]).is_trivial
     assert hall.cross_effect_kernel(3, [1, 1, 1, 1]).is_trivial
     assert hall.cross_effect_kernel(2, [2, 1, 1]).is_trivial
+
+
+def test_cross_effect_kernel_stays_sparse():
+    # Lie_4 on Z^10: 2,475 columns against five stacked collapse maps of
+    # 1,008 rows each; intersecting their kernels densely took about 10 s
+    started = time.process_time()
+    assert hall.cross_effect_kernel(4, [2, 2, 2, 2, 2]).is_trivial
+    assert time.process_time() - started < 2
 
 
 def test_cross_effect_complex_composes_to_zero():

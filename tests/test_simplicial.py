@@ -162,6 +162,32 @@ def test_validate_reports_identity_violation():
     assert any(v["rule"] == "face-dimension" for v in report)
 
 
+@pytest.mark.parametrize(
+    "cells, faces",
+    [
+        # s5 of the vertex as a 1-simplex: only s0 applies in dimension 0
+        (
+            [[BASEPOINT], [], ["t"]],
+            {"t": (SimplexRef((5,), BASEPOINT), basepoint_ref(1), basepoint_ref(1))},
+        ),
+        # s1 of the vertex next to 1-cell faces
+        (
+            [[BASEPOINT], ["e"], ["t"]],
+            {
+                "e": (nondegenerate(BASEPOINT), nondegenerate(BASEPOINT)),
+                "t": (nondegenerate("e"), SimplexRef((1,), BASEPOINT), nondegenerate("e")),
+            },
+        ),
+    ],
+)
+def test_validate_reports_degeneracy_out_of_range(cells, faces):
+    report = validate(SimplicialSet("bad", cells, faces))
+    assert report == [
+        {"simplex": "t", "rule": "canonical-form", "detail": report[0]["detail"]}
+    ]
+    assert report[0]["detail"].endswith("to a 0-simplex")
+
+
 def test_json_roundtrip():
     for space in [sphere(2), wedge_of_circles(3), moore_space(4, 2)]:
         obj = space.to_json()

@@ -11,10 +11,10 @@ from loopnil.nilpotent import rule_system, NilpotentElement
 from loopnil.nilq import free_nilpotent_layers
 from loopnil.simplicial import moore_space, point, sphere, wedge, wedge_of_circles
 from loopnil.tower import (
+    abelianized_matrix,
     layer,
     layer_homotopy,
     loop_group,
-    loop_linearization,
     pi0,
     tower_stage,
 )
@@ -42,8 +42,11 @@ def test_simplicial_group_identities():
 def test_loop_linearization_matches_shifted_reduction():
     # abelianized loop group ranks: |X_{q+1}| minus the s0-degenerate part
     g = loop_group(sphere(1))
-    a = loop_linearization(g)
+    a = layer(g, 1).abelian()
     assert [a.rank(q) for q in range(4)] == [1, 1, 1, 1]
+    for q in range(1, 4):
+        for i in range(q + 1):
+            assert a.face_matrix(q, i) == abelianized_matrix(g, q, i, "face")
     # first homotopy of the abelianization equals first reduced homology
     assert moore_homology(a, 0) == AbelianInvariants(1, ())
 
@@ -104,10 +107,12 @@ def test_layer_one_equals_abelianization():
     for space in FIXTURES:
         g = loop_group(space)
         lay = layer(g, 1)
-        lin = loop_linearization(g)
+        lin = lay.abelian()
         for q in range(1, 4):
             for i in range(q + 1):
-                assert lay.face_maps(q, i).lie_matrix == lin.face_matrix(q, i)
+                ab = abelianized_matrix(g, q, i, "face")
+                assert lay.face_maps(q, i).lie_matrix == ab
+                assert lin.face_matrix(q, i) == ab
 
 
 def test_layer_faces_sparse_rows_equal_dense_lie_route():
