@@ -11,6 +11,7 @@ from functools import lru_cache
 
 from . import intmat
 from .abelian import AbelianInvariants
+from .caps import current_caps
 from .errors import InternalInvariantError, LoopnilError
 
 
@@ -192,11 +193,7 @@ class LieElement:
     def bracket(self, other):
         if self.k != other.k:
             raise LoopnilError("mismatched generator counts")
-        acc = {}
-        for t1, c1 in self.coeffs:
-            for t2, c2 in other.coeffs:
-                for t, c in _reduce_pair(t1, t2):
-                    acc[t] = acc.get(t, 0) + c1 * c2 * c
+        acc = dict(_bracket_combo(self.coeffs, other.coeffs))
         return _element(self.k, self.weight + other.weight, acc)
 
     def __str__(self):
@@ -230,17 +227,19 @@ def lie_normalize(terms, k, n):
             )
         if max_generator(tree) > k:
             raise LoopnilError(f"generator out of range in {tree_str(tree)}")
-        for t, c in _normalize_tree(tree):
+        for t, c in normalize_tree(tree):
             acc[t] = acc.get(t, 0) + coeff * c
     return _element(k, n, acc)
 
 
 @lru_cache(maxsize=None)
-def _normalize_tree(tree):
+def normalize_tree(tree):
+    """Hall expansion of an arbitrary bracket tree, as (tree, coefficient)
+    pairs."""
     if isinstance(tree, int):
         return ((tree, 1),)
-    left = _normalize_tree(tree[0])
-    right = _normalize_tree(tree[1])
+    left = normalize_tree(tree[0])
+    right = normalize_tree(tree[1])
     return _bracket_combo(left, right)
 
 
@@ -317,6 +316,7 @@ def cross_effect_kernel(n, ranks):
     The common kernel of the n+1 collapse maps is the kernel of their
     stacked rows, whatever their signs; kernels of integer matrices are
     free, so the rank is all there is."""
+    current_caps().check_class(n, f"cross-effect kernel of Lie_{n}")
     ranks = list(ranks)
     if len(ranks) != n + 1:
         raise LoopnilError(f"expected {n + 1} ranks, got {len(ranks)}")

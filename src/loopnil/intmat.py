@@ -6,9 +6,9 @@ shape arguments where needed.  Dense pivots are chosen by minimal absolute
 value because intermediate entry blowup is the known failure mode of integer
 elimination.  ``sparse_invariant_factors`` is the one route to invariant
 factors: a sparse elimination of unit pivots over ``{col: value}`` rows
-that keeps no transform.  The dense Smith form keeps its transforms only
-for ``nilpotent._factor_block``, which reads them; ``kernel_basis`` and
-``solve_columns`` remain as tools for the tests.
+that keeps no transform.  The dense Smith form with its transforms,
+``kernel_basis`` and ``solve_columns`` remain as tools for the tests; no
+module of the package calls them.
 """
 
 import heapq

@@ -5,10 +5,9 @@ of Hall-basis commutators with integer exponents.  Arithmetic is collection
 from the left, which swaps adjacent letters u > v as u^a v^b = v^b u^a
 [u^a, v^b].  Computations run inside the degree-truncated free associative
 ring (generators map to 1 + X_i, which is faithful on the class-n quotient).
-Normal-form exponents are read back from a ring element weight by weight,
-through a plan fixed per weight: letters peeled one pivot monomial at a time,
-then the few letters no monomial separates, solved per multidegree from a
-Smith form.
+Normal-form exponents are read back from a ring element weight by weight:
+the lowest nonzero part is a Lie polynomial, and the Dynkin map sends it to
+its weight times its Hall expansion, computed by :func:`hall.normalize_tree`.
 
 Collection polynomials (P. Hall).  For letters u, v of weights p, q every
 normal-form exponent of [u^a, v^b] is sum c_ij C(a, i) C(b, j) over i, j >= 1
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 from . import intmat
 from .caps import current_caps
 from .errors import InternalInvariantError, LoopnilError
-from .hall import hall_basis, total_hall_rank, tree_leaves, tree_str, tree_weight, witt_rank
+from .hall import hall_basis, normalize_tree, total_hall_rank, tree_str, tree_weight, witt_rank
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +173,6 @@ class RuleSystem:
         self.ring = TruncatedRing(k, n)
         self._poly = {}
         self._rules = {}
-        self._lie_polys = {}
-        self._solver = {}
         self._lock = threading.Lock()
 
     # -- letter data ---------------------------------------------------------
@@ -200,110 +197,27 @@ class RuleSystem:
                 self._poly[i] = p
         return p
 
-    # -- Lie expansion data for exponent extraction ---------------------------
-
-    def _lie_poly(self, tree):
-        p = self._lie_polys.get(tree)
-        if p is None:
-            if isinstance(tree, int):
-                p = {(tree - 1,): 1}
-            else:
-                p = self.ring.bracket(self._lie_poly(tree[0]), self._lie_poly(tree[1]))
-            with self._lock:
-                self._lie_polys[tree] = p
-        return p
-
-    def _weight_solver(self, w):
-        """Plan for expressing a homogeneous degree-w Lie polynomial in the
-        Hall expansions of the weight-w letters, built once per weight.
-
-        ``steps`` peel one letter each, in order: its expansion is the only
-        one left that contains the pivot monomial, so its exponent is the
-        target's pivot coefficient over the expansion's.  The order does not
-        depend on the target.  The letters still left when no such monomial
-        remains form ``blocks``, one per multidegree (expansions of different
-        multidegrees share no monomial), each factored by a Smith form."""
-        plan = self._solver.get(w)
-        if plan is None:
-            ids = self.letters_of_weight(w)
-            polys = [self._lie_poly(self.letters[i]) for i in ids]
-            owners = {}
-            for pos, p in enumerate(polys):
-                for m in p:
-                    owners.setdefault(m, []).append(pos)
-            alive = {m: len(lst) for m, lst in owners.items()}
-            queue = [m for m, cnt in alive.items() if cnt == 1]
-            remaining = set(range(len(ids)))
-            steps = []
-            while queue:
-                mono = queue.pop()
-                if alive[mono] != 1:
-                    continue
-                (pos,) = [p for p in owners[mono] if p in remaining]
-                steps.append((ids[pos], mono, polys[pos][mono], tuple(polys[pos].items())))
-                remaining.discard(pos)
-                for m in polys[pos]:
-                    alive[m] -= 1
-                    if alive[m] == 1:
-                        queue.append(m)
-            by_content = {}
-            for pos in sorted(remaining):
-                content = tuple(sorted(tree_leaves(self.letters[ids[pos]])))
-                by_content.setdefault(content, []).append(pos)
-            blocks = [
-                self._factor_block([ids[p] for p in group], [polys[p] for p in group])
-                for group in by_content.values()
-            ]
-            plan = (steps, blocks)
-            with self._lock:
-                self._solver[w] = plan
-        return plan
-
-    @staticmethod
-    def _factor_block(letters, polys):
-        """Smith form u @ M @ v = d of the monomial-by-letter matrix M of
-        ``polys``, kept as the rows of u that meet the diagonal (as
-        (monomial, entry) pairs), the diagonal and v."""
-        monos = sorted({m for p in polys for m in p})
-        mat = [[p.get(m, 0) for p in polys] for m in monos]
-        d, u, v = intmat.smith_normal_form(mat, ncols=len(polys))
-        diag = [d[i][i] for i in range(len(polys))]
-        if not all(diag):
-            raise InternalInvariantError("Hall expansions are linearly dependent")
-        rows = [tuple((m, x) for m, x in zip(monos, u[i]) if x) for i in range(len(polys))]
-        expansions = [tuple(p.items()) for p in polys]
-        return letters, rows, diag, v, expansions
+    # -- exponent extraction -------------------------------------------------
 
     def _solve_weight(self, w, target):
-        """Coefficients over weight-w letters with sum of Hall expansions
-        equal to ``target`` (a homogeneous degree-w Lie polynomial)."""
-        steps, blocks = self._weight_solver(w)
-        work = dict(target)
+        """Hall coordinates of ``target``, a homogeneous degree-w Lie
+        polynomial: the Dynkin map X_i1...X_iw -> [x_i1, ..., x_iw]
+        (left-normed) sends every degree-w Lie polynomial P to w P
+        (Dynkin-Specht-Wever), so the coordinates are those of the image
+        over w."""
+        acc = {}
+        for mono, c in target.items():
+            tree = mono[0] + 1
+            for i in mono[1:]:
+                tree = (tree, i + 1)
+            for t, d in normalize_tree(tree):
+                acc[t] = acc.get(t, 0) + c * d
         out = {}
-        for letter, mono, coeff, expansion in steps:
-            val = work.get(mono, 0)
-            if val:
-                if val % coeff:
-                    raise InternalInvariantError("exponent extraction: non-integer solution")
-                e = val // coeff
-                out[letter] = e
-                for m, c in expansion:
-                    work[m] = work.get(m, 0) - e * c
-        for letters, rows, diag, v, expansions in blocks:
-            z = []
-            for row, dd in zip(rows, diag):
-                y = sum(x * work.get(m, 0) for m, x in row)
-                if y % dd:
-                    raise InternalInvariantError("exponent extraction: non-integer solution")
-                z.append(y // dd)
-            for letter, v_row, expansion in zip(letters, v, expansions):
-                e = sum(a * b for a, b in zip(v_row, z))
-                if e:
-                    out[letter] = e
-                    for m, c in expansion:
-                        work[m] = work.get(m, 0) - e * c
-        if any(work.values()):
-            raise InternalInvariantError("exponent extraction left a remainder")
+        for t, v in acc.items():
+            if v % w:
+                raise InternalInvariantError("exponent extraction: non-integer solution")
+            if v:
+                out[self.index[t]] = v // w
         return out
 
     # -- normal forms ----------------------------------------------------------

@@ -78,7 +78,7 @@ def _echelon_weight(active, w):
     Returns (pivots, leftovers): pivot elements have independent weight-w
     parts; leftovers were reduced to lowest weight > w.
     """
-    pivots = []  # list of (leading column, element)
+    pivots = {}  # leading column -> element
     leftovers = []
     queue = list(active)
     while queue:
@@ -90,24 +90,18 @@ def _echelon_weight(active, w):
                 if not e.is_identity:
                     leftovers.append(e)
                 break
-            slot = next((p for p in pivots if p[0] == lead), None)
-            if slot is None:
-                pivots.append((lead, e))
-                pivots.sort(key=lambda p: p[0])
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = e
                 break
-            _, p = slot
-            pv = p.weight_slice(w)[lead]
-            ev = row[lead]
-            q = ev // pv
+            q = row[lead] // p.weight_slice(w)[lead]
             if q:
                 e = nil_multiply(e, nil_power(p, -q))
                 continue
-            # |ev| < |pv|: swap roles so the smaller entry becomes the pivot
-            pivots.remove(slot)
-            pivots.append((lead, e))
-            pivots.sort(key=lambda p: p[0])
+            # e's lead entry is smaller than p's: swap roles so it becomes the pivot
+            pivots[lead] = e
             e = p
-    return [p for _, p in pivots], leftovers
+    return [pivots[c] for c in sorted(pivots)], leftovers
 
 
 def nilpotent_quotient(k, relators, n, caps=None):

@@ -190,6 +190,16 @@ def test_cross_effect_kernel_trivial():
     assert hall.cross_effect_kernel(2, [2, 1, 1]).is_trivial
 
 
+def test_cross_effect_kernel_checks_the_class_cap(monkeypatch):
+    from loopnil.errors import CapExceeded
+
+    monkeypatch.delenv("LOOPNIL_MAX_CLASS", raising=False)
+    with pytest.raises(CapExceeded, match="class 5"):
+        hall.cross_effect_kernel(5, [1] * 6)
+    monkeypatch.setenv("LOOPNIL_MAX_CLASS", "5")
+    assert hall.cross_effect_kernel(5, [1] * 6).is_trivial
+
+
 def test_cross_effect_kernel_stays_sparse():
     # Lie_4 on Z^10: 2,475 columns against five stacked collapse maps of
     # 1,008 rows each; intersecting their kernels densely took about 10 s
@@ -237,3 +247,20 @@ def test_cross_effect_complex_composes_to_zero():
                     for i in range(rows)
                 ]
                 assert all(all(v == 0 for v in row) for row in summed)
+
+
+@pytest.mark.parametrize("k,wa,wb", [(2, 1, 2), (3, 2, 2), (2, 2, 3), (3, 1, 3)])
+def test_lie_element_bracket_matches_normalization(k, wa, wb):
+    rng = random.Random(17 * k + 5 * wa + wb)
+    basis_a, basis_b = hall.hall_basis(k, wa), hall.hall_basis(k, wb)
+    for _ in range(6):
+        a, b = rng.choice(basis_a), rng.choice(basis_b)
+        got = hall.lie_normalize([(a, 1)], k, wa).bracket(hall.lie_normalize([(b, 1)], k, wb))
+        assert got == hall.lie_normalize([((a, b), 1)], k, wa + wb)
+        left = [(rng.choice(basis_a), rng.randint(-4, 4)) for _ in range(3)]
+        right = [(rng.choice(basis_b), rng.randint(-4, 4)) for _ in range(3)]
+        got = hall.lie_normalize(left, k, wa).bracket(hall.lie_normalize(right, k, wb))
+        want = hall.lie_normalize(
+            [((s, t), c * d) for s, c in left for t, d in right], k, wa + wb
+        )
+        assert got == want

@@ -280,17 +280,30 @@ def test_extract_inverts_vector_to_poly():
             assert sys.extract(sys.vector_to_poly(vec)) == vec
 
 
-def test_weight_solver_built_once_per_weight():
-    rng = random.Random(8)
-    sys = rule_system(3, 4)
-    for _ in range(30):
-        collect(random_word(rng, 3, syllables=8, max_exp=40), 3, 4)
-        sys.extract(random_group_like(sys, rng))
-    assert sorted(sys._solver) == [1, 2, 3, 4]
-    plans = dict(sys._solver)
-    for _ in range(10):
-        sys.extract(random_group_like(sys, rng))
-    assert all(sys._solver[w] is plans[w] for w in plans)
+@pytest.mark.parametrize("k,n", [(4, 5), (5, 5)])
+def test_solve_weight_reads_top_weight_combinations(k, n):
+    # the top-weight parts of the letters, including those no single
+    # monomial separates, combined with wide coefficients
+    from loopnil.caps import Caps
+
+    rng = random.Random(13 * k + n)
+    sys = rule_system(k, n, Caps(max_hall_rank=1000))
+    parts = {i: sys.ring.homogeneous(sys.letter_poly(i), n) for i in sys.letters_of_weight(n)}
+    for _ in range(3):
+        want = {i: rng.randint(-(10**3), 10**3) for i in parts}
+        target = {}
+        for i, e in want.items():
+            for m, c in parts[i].items():
+                target[m] = target.get(m, 0) + e * c
+        assert sys._solve_weight(n, target) == {i: e for i, e in want.items() if e}
+
+
+@pytest.mark.parametrize("poly", [{(): 1, (0, 1): 1}, {(): 1, (0, 1): 1, (1, 0): 1}])
+def test_extract_rejects_non_lie_input(poly):
+    from loopnil.errors import InternalInvariantError
+
+    with pytest.raises(InternalInvariantError):
+        rule_system(2, 2).extract(poly)
 
 
 @pytest.mark.parametrize("k,n", [(2, 5), (3, 4), (2, 6)])
@@ -437,8 +450,8 @@ def _group_eval_tree(tree, gens, memo):
 
 
 def test_class5_collection_matches_unitriangular_evaluation():
-    # four generators at class 5 leave some weight-5 letters that no
-    # monomial peels; the residual block must stay cheap
+    # four generators at class 5: 204 weight-5 letters, whose exponents are
+    # read through the Dynkin map
     k, n = 4, 5
     rng = random.Random(45)
     words = [[(1, 1), (2, 1), (3, -1), (4, 1), (1, -1), (2, -1)]]
