@@ -2,9 +2,12 @@
 
 Elements of the class-n quotient of a rank-k free group are ordered products
 of Hall-basis commutators with integer exponents.  Arithmetic is collection
-from the left, which swaps adjacent letters u > v as u^a v^b = v^b u^a
-[u^a, v^b].  Computations run inside the degree-truncated free associative
-ring (generators map to 1 + X_i, which is faithful on the class-n quotient).
+from the left (Leedham-Green and Soicher; Vaughan-Lee): a normal form is
+multiplied by one letter power x^b at a time, which moves left past each
+letter y > x it does not commute with as y^e x^b = x^b y^e [y^e, x^b], and
+the brackets are collected next.  The rules for those brackets are derived
+inside the degree-truncated free associative ring (generators map to
+1 + X_i, which is faithful on the class-n quotient).
 Normal-form exponents are read back from a ring element weight by weight:
 the lowest nonzero part is a Lie polynomial, and the Dynkin map sends it to
 its weight times its Hall expansion, computed by :func:`hall.normalize_tree`.
@@ -145,7 +148,10 @@ class RuleSystem:
     """Hall letters, their ordering, and commutation rules for the free
     class-n quotient on k generators.
 
-    The rule of a letter pair hi > lo is its collection polynomial: the
+    :meth:`collect` multiplies a normal form by a word one letter power at a
+    time; a letter power x^b moving left past a letter y^e leaves the tail
+    [y^e, x^b] behind, read from the rule of the pair (y, x).  The rule of a
+    letter pair hi > lo is its collection polynomial: the
     exponents of [hi^a, lo^b] as integer combinations of C(a, i) C(b, j)
     with i, j >= 1 and i p + j q <= n, for p, q the weights of hi and lo.
     The bound holds because hi^a - 1 = sum_i C(a, i) (hi - 1)^i and
@@ -170,6 +176,9 @@ class RuleSystem:
             self.weight_range[w] = range(lo, len(self.letters))
         self.weights = [tree_weight(t) for t in self.letters]
         self.index = {t: i for i, t in enumerate(self.letters)}
+        # end of each letter's movers, the later letters it may not commute
+        # with (none when 2 p > n)
+        self._mover_stop = [self.weight_range[n - p].stop if 2 * p <= n else 0 for p in self.weights]
         self.ring = TruncatedRing(k, n)
         self._poly = {}
         self._rules = {}
@@ -181,7 +190,10 @@ class RuleSystem:
         return tree_str(self.letters[i])
 
     def letters_of_weight(self, w):
-        return self.weight_range[w]
+        try:
+            return self.weight_range[w]
+        except KeyError:
+            raise LoopnilError(f"weight {w} out of range 1..{self.n}") from None
 
     def letter_poly(self, i):
         p = self._poly.get(i)
@@ -316,36 +328,41 @@ class RuleSystem:
             self._rules[hi, lo] = rule
         return rule
 
-    def collect(self, word):
-        """Collect a word of (letter, exponent) pairs into normal form."""
-        work = reduce_free_word(word)
-        weights, n = self.weights, self.n
-        pos = 0
-        while pos + 1 < len(work):
-            u, a = work[pos]
-            v, b = work[pos + 1]
-            if u == v:
-                merged = a + b
-                if merged:
-                    work[pos : pos + 2] = [(u, merged)]
-                else:
-                    work[pos : pos + 2] = []
-                if pos:
-                    pos -= 1
-            elif u < v:
-                pos += 1
-            else:
-                # u > v: swap whole blocks, u^a v^b = v^b u^a [u^a, v^b]; the
-                # commutator is trivial when the weights sum past n
-                if weights[u] + weights[v] > n:
-                    work[pos], work[pos + 1] = (v, b), (u, a)
-                else:
-                    work[pos : pos + 2] = [(v, b), (u, a)] + self.block_tail(u, a, v, b)
-                if pos:
-                    pos -= 1
-        vec = [0] * self.rank
-        for letter, exp in work:
-            vec[letter] += exp
+    def collect(self, word, vec=None):
+        """Normal-form exponents of ``vec`` (the identity by default) times a
+        word of (letter, exponent) pairs, by collection from the left.
+
+        The word's pairs wait on a stack and are multiplied onto the normal
+        form one at a time.  To multiply by x^b, with p the weight of x,
+        split the normal form as L M Z: L the letters up to x, M the movers
+        y_1^e_1 ... y_m^e_m (the letters after x of weight <= n - p; letters
+        are ordered by weight, so they end at ``weight_range[n - p].stop``)
+        and Z the rest.  Z commutes with x^b, with every mover and with every
+        letter of each tail [y_i^e_i, x^b], because these have weights p,
+        >= p and >= 2 p while Z has weight > n - p: the sums pass n.  Since
+        y^e x^b = x^b y^e [y^e, x^b],
+
+            L M Z x^b = L x^b W Z = (L x^b Z) W,  W = prod_i y_i^e_i [y_i^e_i, x^b].
+
+        So b is added to the exponent of x, the movers are zeroed, Z stays
+        where it is, and W goes on the stack to be collected next.  The stack
+        empties: every tail letter outweighs the pair it came from, and
+        weights stop at n."""
+        vec = [0] * self.rank if vec is None else list(vec)
+        stops = self._mover_stop
+        block_tail = self.block_tail
+        stack = [(x, b) for x, b in reversed(word) if b]
+        while stack:
+            x, b = stack.pop()
+            stop = stops[x]
+            if any(vec[x + 1 : stop]):
+                for y in range(stop - 1, x, -1):
+                    e = vec[y]
+                    if e:
+                        vec[y] = 0
+                        stack += reversed(block_tail(y, e, x, b))
+                        stack.append((y, e))
+            vec[x] += b
         return vec
 
 
@@ -501,8 +518,7 @@ def _require_match(u, v):
 def nil_multiply(u, v):
     _require_match(u, v)
     sys = rule_system(u.k, u.n)
-    vec = sys.collect(list(u.word()) + list(v.word()))
-    return NilpotentElement(u.k, u.n, tuple(vec))
+    return NilpotentElement(u.k, u.n, tuple(sys.collect(v.word(), u.exponents)))
 
 
 def nil_inverse(u):
@@ -542,8 +558,6 @@ def graded_layer(k, n, w):
     """The identification of the weight-w layer of the free class-n group
     with the weight-w free Lie module: Hall letters on the group side map to
     the identically shaped Hall trees."""
-    if not 1 <= w <= n:
-        raise LoopnilError(f"weight {w} out of range 1..{n}")
     sys = rule_system(k, n)
     ids = sys.letters_of_weight(w)
     trees = hall_basis(k, w)
@@ -602,24 +616,28 @@ def hom_from_matrix(mat, n, src_k=None, tgt_k=None):
     return NilpotentHom(src, tgt, n, tuple(images))
 
 
+def _tree_image(f, tree, memo):
+    """Image under ``f`` of the group commutator a Hall tree names, with the
+    images of its bracket subtrees kept in ``memo``."""
+    if isinstance(tree, int):
+        return f.images[tree - 1]
+    img = memo.get(tree)
+    if img is None:
+        img = nil_commutator(_tree_image(f, tree[0], memo), _tree_image(f, tree[1], memo))
+        memo[tree] = img
+    return img
+
+
 def apply_hom(f, u):
-    """Image of ``u``: substitute generator images into the Hall-letter word
-    and collect."""
+    """Image of ``u``: substitute generator images into the Hall-letter word,
+    each bracket subtree evaluated once, and collect."""
     if (u.k, u.n) != (f.src_k, f.n):
         raise LoopnilError("element not in the source of the homomorphism")
     out = identity_element(f.tgt_k, f.n)
-
-    def eval_tree(tree):
-        if isinstance(tree, int):
-            return f.images[tree - 1]
-        a = eval_tree(tree[0])
-        b = eval_tree(tree[1])
-        return nil_commutator(a, b)
-
+    memo = {}
     sys = rule_system(u.k, u.n)
     for i, e in u.word():
-        val = eval_tree(sys.letters[i])
-        out = nil_multiply(out, nil_power(val, e))
+        out = nil_multiply(out, nil_power(_tree_image(f, sys.letters[i], memo), e))
     return out
 
 
@@ -636,21 +654,12 @@ def layer_matrix(f, w):
     """Matrix of the weight-w layer map induced by ``f``: columns are images
     of the source weight-w Hall letters, computed by collection."""
     src_sys = rule_system(f.src_k, f.n)
+    memo = {}
     cols = []
     for i in src_sys.letters_of_weight(w):
-        basis_elt = NilpotentElement(
-            f.src_k,
-            f.n,
-            tuple(1 if j == i else 0 for j in range(src_sys.rank)),
-        )
-        img = apply_hom(f, basis_elt)
+        img = _tree_image(f, src_sys.letters[i], memo)
         low = img.lowest_weight()
         if low is not None and low < w:
             raise InternalInvariantError("layer image dropped below its weight")
         cols.append(img.weight_slice(w))
-    rows = witt_rank(f.tgt_k, w)
-    out = intmat.zeros(rows, len(cols))
-    for j, col in enumerate(cols):
-        for i, v in enumerate(col):
-            out[i][j] = v
-    return out
+    return intmat.transpose(cols, ncols=witt_rank(f.tgt_k, w))

@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from loopnil import hall
+from loopnil import hall, nilpotent
+from loopnil.errors import LoopnilError
 from loopnil.nilpotent import (
     apply_hom,
     collect,
@@ -478,3 +479,130 @@ def test_class5_collection_matches_unitriangular_evaluation():
             value, _ = _group_eval_tree(sys.letters[i], gens, memo)
             assert value == [[int(a == b) + lie[a][b] for b in range(n + 1)] for a in range(n + 1)]
     assert elapsed < 10, f"class-5 collection took {elapsed:.1f}s"
+
+
+def _unit_binomial_power(m, e):
+    """(1 + N)^e = sum_j C(e, j) N^j for any integer e, finite because N is
+    nilpotent; for the wide exponents of normal forms."""
+    size = len(m)
+    nil = [[m[i][j] - int(i == j) for j in range(size)] for i in range(size)]
+    out, term, binom = _unit(size), _unit(size), 1
+    for j in range(1, size):
+        binom = binom * (e - j + 1) // j
+        term = _mat_mul(term, nil)
+        out = [[out[a][b] + binom * term[a][b] for b in range(size)] for a in range(size)]
+    return out
+
+
+def _form_value(form, gens, memo):
+    sys = rule_system(form.k, form.n)
+    out = _unit(form.n + 1)
+    for i, e in form.word():
+        value, _ = _group_eval_tree(sys.letters[i], gens, memo)
+        out = _mat_mul(out, _unit_binomial_power(value, e))
+    return out
+
+
+def test_products_and_powers_match_unitriangular_evaluation():
+    # six generators at class 4 (406 letters); powers have wide normal-form
+    # exponents, so forms are evaluated by binomial powers, words by repeated
+    # multiplication
+    k, n = 6, 4
+    rng = random.Random(64)
+    sys = rule_system(k, n)
+    nils = [oracles.random_strict_upper(rng, n + 1) for _ in range(k)]
+    gens = [[[int(i == j) + x for j, x in enumerate(row)] for i, row in enumerate(nil)] for nil in nils]
+    memo = {}
+    for i in (0, sys.weight_range[2].start, sys.rank - 1):
+        value, value_inv = _group_eval_tree(sys.letters[i], gens, memo)
+        for e in (-3, 2, 5):
+            assert _unit_binomial_power(value, e) == _unit_power(value, value_inv, e)
+    for _ in range(4):
+        u = collect(random_word(rng, k, syllables=4), k, n)
+        v = collect(random_word(rng, k, syllables=4), k, n)
+        u_val, v_val = _form_value(u, gens, memo), _form_value(v, gens, memo)
+        assert _form_value(nil_multiply(u, v), gens, memo) == _mat_mul(u_val, v_val)
+        e = rng.choice([rng.randint(-50, 50), rng.choice((-50, 50))])
+        power = _unit_power(u_val, _unit_inverse(u_val), e)
+        assert _form_value(nil_power(u, e), gens, memo) == power
+
+
+@pytest.mark.parametrize("k,n", [(2, 8), (3, 5), (6, 4)])
+def test_collect_onto_a_normal_form(k, n):
+    # collect(word, vec) continues from the normal form vec
+    rng = random.Random(29 * k + n)
+    sys = rule_system(k, n)
+    for _ in range(3):
+        words = []
+        for _ in range(2):
+            word = [(g - 1, e) for g, e in random_word(rng, k, syllables=4)]
+            word.append((rng.randrange(k), rng.choice((-1, 1)) * rng.randint(1, 10**5)))
+            rng.shuffle(word)
+            words.append(word)
+        u, word = words
+        vec = sys.collect(u)
+        got = sys.collect(word, vec)
+        assert got == sys.collect([(i, e) for i, e in enumerate(vec) if e] + word)
+        assert got == sys.collect(u + word)
+        assert sys.collect([], vec) == vec
+
+
+def test_ascending_word_needs_no_tails():
+    rng = random.Random(5)
+    sys = RuleSystem(3, 4)
+    tails = []
+    _count_calls(sys, "block_tail", tails)
+    for _ in range(20):
+        letters = sorted(rng.sample(range(sys.rank), 6))
+        word = [(i, rng.choice((-10**5, -2, 1, 3))) for i in letters]
+        vec = sys.collect(word)
+        assert vec == [dict(word).get(i, 0) for i in range(sys.rank)]
+    assert tails == []
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 4)])
+def test_powers_add_exponents(k, n):
+    rng = random.Random(37 * k + n)
+    for _ in range(4):
+        u = collect(random_word(rng, k), k, n)
+        a, b = (rng.choice([rng.randint(-(10**5), 10**5), rng.randint(-9, 9)]) for _ in range(2))
+        assert nil_multiply(nil_power(u, a), nil_power(u, b)) == nil_power(u, a + b)
+
+
+def test_layer_matrix_evaluates_each_subtree_once(monkeypatch):
+    k, n = 3, 4
+    rng = random.Random(34)
+    mat = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+    f = hom_from_matrix(mat, n)
+    calls = []
+    original = nilpotent.nil_commutator
+
+    def counted(u, v):
+        calls.append((u, v))
+        return original(u, v)
+
+    monkeypatch.setattr(nilpotent, "nil_commutator", counted)
+    sys = rule_system(k, n)
+    for w in range(1, n + 1):
+        subtrees = set()
+        stack = [sys.letters[i] for i in sys.letters_of_weight(w)]
+        while stack:
+            tree = stack.pop()
+            if not isinstance(tree, int):
+                subtrees.add(tree)
+                stack += tree
+        calls.clear()
+        assert layer_matrix(f, w) == hall.lie_of_map(mat, w, src_k=k, tgt_k=k)
+        assert len(calls) == len(subtrees), w
+
+
+@pytest.mark.parametrize("w", [0, 5])
+def test_weights_out_of_range_are_refused(w):
+    k, n = 2, 4
+    elt = collect([(1, 2), (2, 1)], k, n)
+    with pytest.raises(LoopnilError, match=f"weight {w} out of range 1..4"):
+        elt.weight_slice(w)
+    with pytest.raises(LoopnilError, match=f"weight {w} out of range 1..4"):
+        layer_matrix(identity_hom(k, n), w)
+    with pytest.raises(LoopnilError, match=f"weight {w} out of range 1..4"):
+        graded_layer(k, n, w)
