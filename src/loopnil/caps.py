@@ -13,10 +13,12 @@ from .errors import CapExceeded
 ENV_MAX_HALL_RANK = "LOOPNIL_MAX_HALL_RANK"
 ENV_MAX_DEGREE = "LOOPNIL_MAX_DEGREE"
 ENV_MAX_CLASS = "LOOPNIL_MAX_CLASS"
+ENV_MAX_LAYER_RANK = "LOOPNIL_MAX_LAYER_RANK"
 
 DEFAULT_MAX_HALL_RANK = 512
 DEFAULT_MAX_DEGREE = 6
 DEFAULT_MAX_CLASS = 4
+DEFAULT_MAX_LAYER_RANK = 150_000
 
 
 def _env_int(name: str, default: int) -> int:
@@ -36,6 +38,7 @@ class Caps:
     max_hall_rank: int = DEFAULT_MAX_HALL_RANK
     max_degree: int = DEFAULT_MAX_DEGREE
     max_class: int = DEFAULT_MAX_CLASS
+    max_layer_rank: int = DEFAULT_MAX_LAYER_RANK
 
     def check_hall_rank(self, rank: int, context: str) -> None:
         if rank > self.max_hall_rank:
@@ -58,6 +61,13 @@ class Caps:
                 f"{self.max_class} (override with {ENV_MAX_CLASS})"
             )
 
+    def check_layer_rank(self, degree: int, rank: int, context: str) -> None:
+        if rank > self.max_layer_rank:
+            raise CapExceeded(
+                f"{context}: normalized layer rank N_{degree} = {rank} exceeds cap "
+                f"{self.max_layer_rank} (override with {ENV_MAX_LAYER_RANK})"
+            )
+
 
 def current_caps() -> Caps:
     """Caps from the environment, falling back to the defaults."""
@@ -65,4 +75,5 @@ def current_caps() -> Caps:
         max_hall_rank=_env_int(ENV_MAX_HALL_RANK, DEFAULT_MAX_HALL_RANK),
         max_degree=_env_int(ENV_MAX_DEGREE, DEFAULT_MAX_DEGREE),
         max_class=_env_int(ENV_MAX_CLASS, DEFAULT_MAX_CLASS),
+        max_layer_rank=_env_int(ENV_MAX_LAYER_RANK, DEFAULT_MAX_LAYER_RANK),
     )

@@ -258,10 +258,11 @@ def lie_of_map(f, n, src_k=None, tgt_k=None):
     return intmat.dense_rows(lie_rows(f, n, src_k, tgt_k), witt_rank(src_k, n))
 
 
-def lie_rows(f, n, src_k, tgt_k):
+def lie_rows(f, n, src_k, tgt_k, trees=None):
     """Lie_n(f) in Hall bases as ``{col: value}`` rows of nonzero entries,
     one row per weight-n Hall tree over tgt_k generators and one column per
-    Hall tree over src_k, for the tgt_k x src_k integer matrix f.
+    source tree in ``trees`` (by default every weight-n Hall tree over src_k,
+    in order), for the tgt_k x src_k integer matrix f.
 
     Each Hall tree's image is taken once, bottom-up: a generator goes to its
     column of f and a bracket ``(a, b)`` to the bracket of the images of a
@@ -284,11 +285,30 @@ def lie_rows(f, n, src_k, tgt_k):
 
     tgt_index = {t: i for i, t in enumerate(hall_basis(tgt_k, n))}
     rows = [{} for _ in tgt_index]
-    for j, tree in enumerate(hall_basis(src_k, n)):
+    if trees is None:
+        trees = hall_basis(src_k, n)
+    for j, tree in enumerate(trees):
         img = images[tree] if n == 1 else _bracket_combo(image(tree[0]), image(tree[1]))
         for t, c in img:
             rows[tgt_index[t]][j] = c
     return rows
+
+
+def subalphabet_trees(k, n, masks):
+    """Indices of the weight-n Hall trees over k generators whose leaves all
+    lie in one of a family of sub-alphabets, where bit i of ``masks[g - 1]``
+    says that generator g lies in sub-alphabet i.
+
+    A Hall tree's order and Hall condition compare only generator indices,
+    so the Hall trees with leaves in a sub-alphabet are its own Hall basis
+    and span the free Lie ring on it inside the free Lie ring on all k."""
+    if n == 1:
+        return [j for j, m in enumerate(masks) if m]
+    common = dict(zip(range(1, k + 1), masks))
+    for w in range(2, n):
+        for t in hall_basis(k, w):
+            common[t] = common[t[0]] & common[t[1]]
+    return [j for j, t in enumerate(hall_basis(k, n)) if common[t[0]] & common[t[1]]]
 
 
 # ---------------------------------------------------------------------------

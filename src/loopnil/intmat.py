@@ -11,8 +11,6 @@ that keeps no transform.  The dense Smith form with its transforms,
 module of the package calls them.
 """
 
-import heapq
-
 from .errors import InternalInvariantError
 
 
@@ -243,28 +241,37 @@ def sparse_invariant_factors(rows):
     Unit pivots go first, row and column together (Dumas, Saunders and
     Villard, J. Symbolic Comput. 32, 2001): a +-1 entry in a column with the
     fewest entries, on the shortest such row, clears its column by row
-    operations, and its row and column then split off a factor 1.  The
-    residue without unit entries is diagonalized densely.
+    operations, and its row and column then split off a factor 1.  Columns
+    wait in buckets by their exact entry count; one without a unit entry
+    leaves the buckets until an entry of it changes.  The residue without
+    unit entries is diagonalized densely.
     """
     rows = [dict(row) for row in rows if row]
     col_rows = {}
     for r, row in enumerate(rows):
         for c in row:
             col_rows.setdefault(c, set()).add(r)
-    heap = [(len(rs), c) for c, rs in col_rows.items()]
-    heapq.heapify(heap)
+    # column -> its count, the key of its bucket; None while it waits outside
+    bucket_of = {c: len(rs) for c, rs in col_rows.items()}
+    buckets = {}
+    for c, count in bucket_of.items():
+        buckets.setdefault(count, set()).add(c)
+    low, top = 1, max(buckets, default=0)
     units = 0
-    while heap:
-        count, c = heapq.heappop(heap)
-        rs = col_rows.get(c)
-        if rs is None or len(rs) != count:
-            continue  # stale: the column changed and was pushed again
+    while low <= top:
+        bucket = buckets.get(low)
+        if not bucket:
+            low += 1
+            continue
+        c = bucket.pop()
+        rs = col_rows[c]
         best = None
         for r in rs:
             if rows[r][c] in (1, -1) and (best is None or len(rows[r]) < len(rows[best])):
                 best = r
         if best is None:
-            continue  # pushed again if an entry of the column changes
+            bucket_of[c] = None
+            continue
         prow = rows[best]
         rows[best] = {}
         unit = prow[c]
@@ -283,13 +290,22 @@ def sparse_invariant_factors(rows):
                     del row[j]
                     if j != c:
                         col_rows[j].discard(r)
-        del col_rows[c]
+        del col_rows[c], bucket_of[c]
         units += 1
         for j in prow:
             if j != c:
                 rs = col_rows[j]
                 rs.discard(best)
-                heapq.heappush(heap, (len(rs), j))
+                old = bucket_of[j]
+                if old is not None:
+                    buckets[old].discard(j)
+                count = bucket_of[j] = len(rs)
+                if count:
+                    buckets.setdefault(count, set()).add(j)
+                    if count < low:
+                        low = count
+                    elif count > top:
+                        top = count
     residue = [row for row in rows if row]
     cols = sorted({j for row in residue for j in row})
     dense = [[row.get(j, 0) for j in cols] for row in residue]

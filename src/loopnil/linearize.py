@@ -1,9 +1,10 @@
 """Simplicial abelian groups, reduced linearization, Moore-complex homotopy.
 
-Homotopy is the homology of the unnormalized complex (alternating face
-sums), read off sparse invariant factors; a vanishing Moore-cycle group
-answers 0 early, and every computed answer checks that the boundary squares
-to zero.
+Homotopy is the homology of the normalized complex: the alternating face
+sums on the basis elements outside the degenerate subgroup, which a group
+declares per degree when its degeneracies send basis elements to basis
+elements.  Answers are read off sparse invariant factors, and every computed
+answer checks that the boundary squares to zero.
 
 Degrees are produced on demand through provider callbacks, so no global
 degree cap is baked into a value; each homology query fixes its own cap.
@@ -21,15 +22,20 @@ class SimplicialAbelianGroup:
 
     The face callback gives each map as ``{col: value}`` rows of nonzero
     entries, one row per generator of the target degree and one column per
-    generator of the source degree."""
+    generator of the source degree.  A group may name, per degree, the
+    indices of the generators that span its degenerate subgroup; its face
+    callback then also takes a list of source generator indices as a third
+    argument and gives one column per listed generator, in list order."""
 
-    def __init__(self, rank_fn, face_fn, torsion_fn=None, name=""):
+    def __init__(self, rank_fn, face_fn, torsion_fn=None, name="", degenerate_fn=None):
         self._rank_fn = rank_fn
         self._face_fn = face_fn
         self._torsion_fn = torsion_fn
+        self._degenerate_fn = degenerate_fn
         self.name = name
         self._ranks = {}
         self._faces = {}
+        self._nondegenerate = {}
 
     def rank(self, q):
         if q < 0:
@@ -49,18 +55,21 @@ class SimplicialAbelianGroup:
             raise LoopnilError(f"face d_{i} undefined in degree {q}")
         rows = self._faces.get((q, i))
         if rows is None:
-            rows = self._face_fn(q, i)
-            m, n = self.rank(q - 1), self.rank(q)
-            if len(rows) != m or any(
-                not isinstance(row, dict)
-                or (row and (min(row) < 0 or max(row) >= n or 0 in row.values()))
-                for row in rows
-            ):
-                raise InternalInvariantError(
-                    f"d_{i} in degree {q}: expected {m} rows of nonzero {{col: value}} "
-                    f"entries with columns below {n}"
-                )
+            rows = self._checked(q, i, self._face_fn(q, i), self.rank(q))
             self._faces[(q, i)] = rows
+        return rows
+
+    def _checked(self, q, i, rows, n):
+        m = self.rank(q - 1)
+        if len(rows) != m or any(
+            not isinstance(row, dict)
+            or (row and (min(row) < 0 or max(row) >= n or 0 in row.values()))
+            for row in rows
+        ):
+            raise InternalInvariantError(
+                f"d_{i} in degree {q}: expected {m} rows of nonzero {{col: value}} "
+                f"entries with columns below {n}"
+            )
         return rows
 
     def face_matrix(self, q, i):
@@ -68,56 +77,94 @@ class SimplicialAbelianGroup:
         target)."""
         return intmat.dense_rows(self.face_rows(q, i), self.rank(q))
 
+    def nondegenerate(self, q):
+        """Ascending indices of the degree-q generators outside the
+        degenerate subgroup; all of them when the group names none."""
+        out = self._nondegenerate.get(q)
+        if out is None:
+            if self._degenerate_fn is None:
+                out = range(self.rank(q))
+            else:
+                degenerate = set(self._degenerate_fn(q))
+                out = [j for j in range(self.rank(q)) if j not in degenerate]
+            self._nondegenerate[q] = out
+        return out
+
+    def boundary_rows(self, q):
+        """The normalized boundary sum (-1)^i d_i from degree q to q-1 as
+        ``{col: value}`` rows: one row per nondegenerate generator of degree
+        q-1 and one column per nondegenerate generator of degree q, each
+        numbered in ascending order."""
+        if self._degenerate_fn is None:
+            return _alternating_sum([self.face_rows(q, i) for i in range(q + 1)])
+        cols, keep = self.nondegenerate(q), self.nondegenerate(q - 1)
+        faces = []
+        for i in range(q + 1):
+            rows = self._checked(q, i, self._face_fn(q, i, cols), len(cols))
+            faces.append([rows[r] for r in keep])
+        return _alternating_sum(faces)
+
 
 def reduced_linearization(space):
     """Free simplicial abelian group on a reduced space modulo the basepoint
     ray: degree q is free on all q-simplices except the basepoint degeneracy,
-    with induced face maps."""
+    with induced face maps.  The degeneracies send simplices to simplices,
+    so the degenerate simplices span the degenerate subgroup."""
     require_valid(space)
-
-    def basis(q):
-        base = space.base_ref(q)
-        return [r for r in space.refs(q) if r != base]
 
     cache = {}
 
     def cached_basis(q):
         if q not in cache:
-            refs = basis(q)
+            base = space.base_ref(q)
+            refs = [r for r in space.refs(q) if r != base]
             cache[q] = (refs, {r: i for i, r in enumerate(refs)})
         return cache[q]
 
     def rank(q):
         return len(cached_basis(q)[0])
 
-    def induced(q, target, simplex_map):
-        refs, _ = cached_basis(q)
-        _, tgt_index = cached_basis(target)
+    def degenerate(q):
+        return [j for j, ref in enumerate(cached_basis(q)[0]) if ref.is_degenerate]
+
+    def face(q, i, cols=None):
+        refs = cached_basis(q)[0]
+        _, tgt_index = cached_basis(q - 1)
         rows = [{} for _ in tgt_index]
-        for j, ref in enumerate(refs):
-            row = tgt_index.get(simplex_map(ref))
+        for j, ref in enumerate(refs if cols is None else [refs[c] for c in cols]):
+            row = tgt_index.get(space.face(ref, i))
             if row is not None:
                 rows[row][j] = 1
         return rows
 
-    def face(q, i):
-        return induced(q, q - 1, lambda ref: space.face(ref, i))
-
-    return SimplicialAbelianGroup(rank, face, name=f"Zred({space.name})")
+    return SimplicialAbelianGroup(rank, face, name=f"Zred({space.name})", degenerate_fn=degenerate)
 
 
 def moore_homology(group, s):
     """pi_s of a simplicial abelian group: the homology at degree s of its
     Moore complex N_q = ker d_1 .. ker d_q with differential d_0.
 
-    Computed from the unnormalized complex with boundary sum (-1)^i d_i,
-    which has the same homology (Dold-Kan; Goerss-Jardine, Simplicial
-    Homotopy Theory, III.2).  With n_s the rank in degree s, r_s the rank of
-    the boundary out of it and F the invariant factors of the boundary into
-    it, H_s has rank n_s - r_s - len(F) and torsion the factors other than 1;
-    no kernel basis or transform is built.  When the degree-s faces have no
-    common kernel the Moore cycles vanish and 0 is returned before any
-    degree-(s+1) face is built.  Otherwise the composite of the two
+    Computed on the normalized complex C/D with boundary sum (-1)^i d_i,
+    where C is the unnormalized complex and D its degenerate subcomplex,
+    spanned by the images of the degeneracies.  D is acyclic and C/D is
+    isomorphic to N, so C/D has the homology of N (Dold-Kan; Goerss-Jardine,
+    Simplicial Homotopy Theory, III.2).  When every degeneracy sends
+    generators to generators, D is spanned by the generators it contains, so
+    C/D is free on the nondegenerate generators and its boundary is the
+    alternating face sum on them with degenerate target coordinates dropped.
+    For a loop-group layer, degree q is Lie_n of the free abelian group on
+    the generators, and s_i maps Lie_n(A_{q-1}) onto Lie_n of the span of
+    its image S_i = s_i(generators).  Hall sets restrict to sub-alphabets
+    (Reutenauer, Free Lie Algebras, ch. 4), so that image is spanned by the
+    Hall trees with every leaf in S_i, and D_q by the Hall trees whose leaves
+    all lie in one S_i.  A group that names no degenerate generators is
+    taken whole, D being 0.
+
+    With N_s the number of nondegenerate generators in degree s, r_s the
+    rank of the boundary out of it and F the invariant factors of the
+    boundary into it, H_s has rank N_s - r_s - len(F) and torsion the
+    factors other than 1; no kernel basis or transform is built.  N_s = 0
+    answers 0 before any face is built.  Otherwise the composite of the two
     boundaries is checked to vanish."""
     if s < 0:
         raise LoopnilError(f"degree must be >= 0, got {s}")
@@ -127,17 +174,12 @@ def moore_homology(group, s):
                 f"degree {q} of {group.name or 'group'} has torsion; Moore homology "
                 "here requires free degrees"
             )
-    n_s = group.rank(s)
+    n_s = len(group.nondegenerate(s))
     if n_s == 0:
         return AbelianInvariants(0, ())
-    low, r_s = [], 0
-    if s > 0:
-        faces = _sparse_faces(group, s)
-        if len(intmat.sparse_invariant_factors(r for f in faces for r in f)) == n_s:
-            return AbelianInvariants(0, ())
-        low = _alternating_sum(faces)
-        r_s = len(intmat.sparse_invariant_factors(low))
-    high = _alternating_sum(_sparse_faces(group, s + 1))
+    low = group.boundary_rows(s) if s > 0 else []
+    r_s = len(intmat.sparse_invariant_factors(low))
+    high = group.boundary_rows(s + 1)
     for row in low:
         acc = {}
         for j, x in row.items():
@@ -149,11 +191,6 @@ def moore_homology(group, s):
             )
     facs = intmat.sparse_invariant_factors(high)
     return AbelianInvariants(n_s - r_s - len(facs), tuple(x for x in facs if x != 1))
-
-
-def _sparse_faces(group, q):
-    """The faces d_0 .. d_q out of degree q as lists of ``{col: value}`` rows."""
-    return [group.face_rows(q, i) for i in range(q + 1)]
 
 
 def _alternating_sum(faces):

@@ -266,11 +266,14 @@ class RuleSystem:
                 out = self.ring.mul(out, self.ring.power(self.letter_poly(i), e))
         return out
 
-    def block_tail(self, hi, a, lo, b):
+    def block_tail(self, hi, a, lo, b, cb=None):
         """Normal-form word of [hi^a, lo^b] for letters hi > lo, a list of
         (letter, exponent) pairs supported on letters of weight >=
         weight(hi) + weight(lo): the pair's collection polynomial evaluated
-        at (a, b).  Empty, with no rule built, when that weight exceeds n."""
+        at (a, b).  Empty, with no rule built, when that weight exceeds n.
+        A caller with many letters hi for one (lo, b) passes ``cb``, the
+        binomials ``C(b, 0), C(b, 1), ...`` up to (n - w) // w for w the
+        weight of lo, which covers every such pair."""
         rule = self._rules.get((hi, lo))
         if rule is None:
             if self.weights[hi] + self.weights[lo] > self.n:
@@ -278,7 +281,8 @@ class RuleSystem:
             rule = self._pair_rule(hi, lo)
         top_a, top_b, points, terms = rule
         ca = _binomials(a, top_a)
-        cb = _binomials(b, top_b)
+        if cb is None:
+            cb = _binomials(b, top_b)
         scale = [ca[i] * cb[j] for i, j in points]
         tail = []
         for letter, coeffs in terms:
@@ -349,18 +353,20 @@ class RuleSystem:
         empties: every tail letter outweighs the pair it came from, and
         weights stop at n."""
         vec = [0] * self.rank if vec is None else list(vec)
-        stops = self._mover_stop
+        stops, weights, n = self._mover_stop, self.weights, self.n
         block_tail = self.block_tail
         stack = [(x, b) for x, b in reversed(word) if b]
         while stack:
             x, b = stack.pop()
             stop = stops[x]
             if any(vec[x + 1 : stop]):
+                w = weights[x]
+                cb = _binomials(b, (n - w) // w)
                 for y in range(stop - 1, x, -1):
                     e = vec[y]
                     if e:
                         vec[y] = 0
-                        stack += reversed(block_tail(y, e, x, b))
+                        stack += reversed(block_tail(y, e, x, b, cb))
                         stack.append((y, e))
             vec[x] += b
         return vec

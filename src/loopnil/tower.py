@@ -7,12 +7,13 @@ homotopy degrees by one, so pi_s here corresponds to pi_{s+1} of the
 delooped object.
 """
 
+import math
 from dataclasses import dataclass
 
 from . import intmat
 from .caps import current_caps
 from .errors import InternalInvariantError, LoopnilError
-from .hall import lie_of_map, lie_rows, total_hall_rank, witt_rank
+from .hall import hall_basis, lie_of_map, lie_rows, subalphabet_trees, total_hall_rank, witt_rank
 from .linearize import SimplicialAbelianGroup, moore_homology
 from .nilpotent import (
     NilpotentHom,
@@ -101,6 +102,13 @@ class LoopGroup:
             word = ((tgt, 1),)
             self._degeneracy_words[key] = word
         return word
+
+    def degeneracy_masks(self, q):
+        """Bit i of entry g is set when generator g of degree q is the image
+        of a generator under s_i, i < q.  Here s_i is the space's s_{i+1},
+        and a simplex lies in the image of s_j exactly when j occurs in its
+        Eilenberg-Zilber degeneracy word."""
+        return [sum(1 << (j - 1) for j in ref.degeneracies) for ref in self.generators(q)]
 
     # -- identities ----------------------------------------------------------
 
@@ -304,6 +312,17 @@ class LayerObject:
     def rank(self, q):
         return witt_rank(self.group.gen_count(q), self.n)
 
+    def normalized_rank(self, q):
+        """N_q, the number of nondegenerate Hall trees in degree q, from
+        generator counts alone.  An intersection of j of the images
+        S_i = s_i(generators) is the image of a j-fold degeneracy from degree
+        q - j (Eilenberg-Zilber), so inclusion-exclusion over the q images
+        gives N_q = sum_j (-1)^j C(q, j) witt(gen_count(q - j), n)."""
+        return sum(
+            (-1) ** j * math.comb(q, j) * witt_rank(self.group.gen_count(q - j), self.n)
+            for j in range(q + 1)
+        )
+
     def _tower(self):
         if self._stage is None:
             self._stage = tower_stage(self.group, self.n, self.caps)
@@ -326,14 +345,16 @@ class LayerObject:
             self._maps[key] = maps
         return maps
 
-    def _lie_route(self, lie, kind, q, i):
-        """``lie`` (``lie_of_map`` or ``lie_rows``) of the abelianized map."""
+    def _lie_route(self, lie, kind, q, i, *trees):
+        """``lie`` (``lie_of_map``, or ``lie_rows`` with its optional source
+        trees) of the abelianized map."""
         target = q - 1 if kind == "face" else q + 1
         return lie(
             abelianized_matrix(self.group, q, i, kind),
             self.n,
             self.group.gen_count(q),
             self.group.gen_count(target),
+            *trees,
         )
 
     def comparison_ok(self, max_degree):
@@ -356,16 +377,26 @@ class LayerObject:
 
     def abelian(self):
         """The Lie-functor side as a simplicial abelian group (the side that
-        feeds homotopy computations)."""
+        feeds homotopy computations).  Its rank and faces are on the whole
+        Hall basis; its degenerate generators in degree q are the Hall trees
+        whose leaves all lie in one image s_i(generators), i < q."""
+        group, n = self.group, self.n
 
         def rank(q):
             return self.rank(q) if q >= 0 else 0
 
-        def face(q, i):
-            return self._lie_route(lie_rows, "face", q, i)
+        def degenerate(q):
+            masks = group.degeneracy_masks(q)
+            return subalphabet_trees(len(masks), n, masks)
+
+        def face(q, i, cols=None):
+            if cols is None:
+                return self._lie_route(lie_rows, "face", q, i)
+            basis = hall_basis(group.gen_count(q), n)
+            return self._lie_route(lie_rows, "face", q, i, [basis[j] for j in cols])
 
         return SimplicialAbelianGroup(
-            rank, face, name=f"layer {self.n} of G({self.group.space.name})"
+            rank, face, name=f"layer {n} of G({group.space.name})", degenerate_fn=degenerate
         )
 
 
@@ -378,11 +409,20 @@ def layer(group, n, caps=None):
 def layer_homotopy(group, n, s, caps=None):
     """pi_s of the weight-n layer (Lie-functor side), via Moore homology.
 
+    Refused before any face is built when N_s is nonzero and N_s or
+    N_{s+1}, the normalized ranks the homology eliminates over, exceeds the
+    layer-rank cap.
+
     Lie_1 is the identity functor, so layer 1 is the abelianized loop group:
     the reduced linearization of the space shifted through the loop-group
     construction (the basepoint ray and s0-degeneracies die)."""
     caps = caps or group.caps
     if s < 0:
         raise LoopnilError(f"degree must be >= 0, got {s}")
-    caps.check_degree(s + 1, f"layer homotopy over {group.space.name}")
-    return moore_homology(layer(group, n, caps).abelian(), s)
+    context = f"layer homotopy over {group.space.name}"
+    caps.check_degree(s + 1, context)
+    lay = layer(group, n, caps)
+    if lay.normalized_rank(s):
+        for q in (s, s + 1):
+            caps.check_layer_rank(q, lay.normalized_rank(q), context)
+    return moore_homology(lay.abelian(), s)

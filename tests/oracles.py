@@ -312,18 +312,24 @@ def _integer_kernel(mat, ncols):
                     if a[i][t]:
                         a[t], a[i] = a[i], a[t]
                         clean = False
+            # the nonzero entries of column t, in a and in v; a column
+            # operation adds a multiple of them only
+            a_t = [(row, row[t]) for row in a if row[t]]
+            v_t = [(row, row[t]) for row in v if row[t]]
             for j in range(t + 1, ncols):
                 if a[t][j]:
                     q = a[t][j] // a[t][t]
-                    for i in range(m):
-                        a[i][j] -= q * a[i][t]
-                    for i in range(ncols):
-                        v[i][j] -= q * v[i][t]
+                    for row, x in a_t:
+                        row[j] -= q * x
+                    for row, x in v_t:
+                        row[j] -= q * x
                     if a[t][j]:
                         for row in a:
                             row[t], row[j] = row[j], row[t]
                         for row in v:
                             row[t], row[j] = row[j], row[t]
+                        a_t = [(row, row[t]) for row in a if row[t]]
+                        v_t = [(row, row[t]) for row in v if row[t]]
                         clean = False
             if clean:
                 break
@@ -333,25 +339,26 @@ def _integer_kernel(mat, ncols):
 
 
 def _solve_in_basis(basis, target, ambient, p, cols):
-    """Rational solve of basis @ x = target, verified integral."""
+    """Rational solve of basis @ x = target, verified integral; all columns
+    of target ride along one elimination of basis."""
     if p == 0:
         for row in target:
             assert all(val == 0 for val in row)
         return []
-    out = [[0] * cols for _ in range(p)]
-    for c in range(cols):
-        rhs = [Fraction(target[i][c]) for i in range(ambient)]
-        sol = _solve_fraction([[Fraction(basis[i][j]) for j in range(p)] for i in range(ambient)], rhs)
-        for j in range(p):
-            assert sol[j].denominator == 1
-            out[j][c] = int(sol[j])
-    return out
+    a = [[Fraction(basis[i][j]) for j in range(p)] for i in range(ambient)]
+    b = [[Fraction(target[i][c]) for c in range(cols)] for i in range(ambient)]
+    sol = _solve_fraction(a, b)
+    for row in sol:
+        assert all(x.denominator == 1 for x in row)
+    return [[int(x) for x in row] for row in sol]
 
 
 def _solve_fraction(a, b):
+    """Solution rows x of a @ x = b for a consistent rational system, the
+    right-hand sides being the columns of b; free unknowns are 0."""
     m = len(a)
     n = len(a[0]) if m else 0
-    aug = [a[i][:] + [b[i]] for i in range(m)]
+    aug = [a[i][:] + b[i][:] for i in range(m)]
     piv_cols = []
     row = 0
     for col in range(n):
@@ -372,10 +379,11 @@ def _solve_fraction(a, b):
         piv_cols.append(col)
         row += 1
     for i in range(row, m):
-        assert aug[i][n] == 0, "inconsistent system"
-    sol = [Fraction(0)] * n
+        assert not any(aug[i][n:]), "inconsistent system"
+    width = len(aug[0]) - n if m else 0
+    sol = [[Fraction(0)] * width for _ in range(n)]
     for r, c in enumerate(piv_cols):
-        sol[c] = aug[r][n]
+        sol[c] = aug[r][n:]
     return sol
 
 
@@ -421,10 +429,10 @@ def moore_homology_oracle(rank_fn, face_fn, s):
         rows_to = rank_fn(q - 1)
         img_rows = len(face_fn(q, 0))
         face = face_fn(q, 0)
-        img = [
-            [sum(face[i][t] * k_from[t][j] for t in range(rank_fn(q))) for j in range(n_from)]
-            for i in range(img_rows)
-        ]
+        img = []
+        for i in range(img_rows):
+            terms = [(t, x) for t, x in enumerate(face[i][: rank_fn(q)]) if x]
+            img.append([sum(x * k_from[t][j] for t, x in terms) for j in range(n_from)])
         return _solve_in_basis(k_to, img, rows_to, n_to, n_from)
 
     if s == 0:

@@ -259,6 +259,17 @@ def test_degree_cap_exit(monkeypatch):
     assert code == 3 and rep["error"]["kind"] == "resource-cap"
 
 
+def test_layer_rank_cap_exit(tmp_path):
+    # pi_4 of layer 4 over M(Z/3,2) eliminates over N_5 = 258,795 trees
+    from loopnil.simplicial import moore_space
+
+    path = tmp_path / "m32.json"
+    path.write_text(json.dumps(moore_space(3, 2).to_json()))
+    code, rep = run_json(["layer-homotopy", str(path), "--class", "4", "--degree", "4"])
+    assert code == 3 and rep["error"]["kind"] == "resource-cap"
+    assert "N_5 = 258795" in rep["error"]["message"]
+
+
 def test_class_cap_exit(monkeypatch):
     monkeypatch.setenv("LOOPNIL_MAX_CLASS", "2")
     code, rep = run_json(["tower", "pi0", space("wedge2.json"), "--class", "3"])

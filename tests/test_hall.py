@@ -121,6 +121,32 @@ def test_lie_of_map_identity_and_swap():
     assert proj == []
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_lie_rows_on_chosen_trees_are_columns_of_the_whole(seed):
+    rng = random.Random(4000 + seed)
+    k, l, n = rng.randint(2, 4), rng.randint(1, 4), rng.randint(1, 4)
+    f = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(l)]
+    basis = hall.hall_basis(k, n)
+    cols = sorted(rng.sample(range(len(basis)), len(basis) // 2))
+    whole = hall.lie_rows(f, n, k, l)
+    some = hall.lie_rows(f, n, k, l, [basis[j] for j in cols])
+    assert some == [
+        {p: row[j] for p, j in enumerate(cols) if j in row} for row in whole
+    ]
+
+
+@pytest.mark.parametrize("k,n", [(3, 1), (3, 3), (4, 4), (5, 3)])
+def test_subalphabet_trees_are_the_trees_inside_one_subalphabet(k, n):
+    rng = random.Random(k * 10 + n)
+    masks = [rng.randrange(8) for _ in range(k)]
+    inside = [
+        j
+        for j, t in enumerate(hall.hall_basis(k, n))
+        if any(all(masks[g - 1] >> i & 1 for g in hall.tree_leaves(t)) for i in range(3))
+    ]
+    assert hall.subalphabet_trees(k, n, masks) == inside
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_lie_of_map_functorial(seed):
     rng = random.Random(2000 + seed)

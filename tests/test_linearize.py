@@ -91,6 +91,28 @@ def test_moore_homology_matches_reduced_homology(space_fn, expected):
         assert (got.rank, list(got.torsion)) == (o_rank, o_torsion), (space.name, s)
 
 
+def test_reduced_linearization_names_the_degenerate_simplices():
+    space = moore_space(2, 2)
+    a = reduced_linearization(space)
+    for q in range(4):
+        refs = [r for r in space.refs(q) if r != space.base_ref(q)]
+        assert [refs[j] for j in a.nondegenerate(q)] == [
+            r for r in refs if not r.is_degenerate
+        ]
+
+
+def test_normalized_boundary_without_degeneracies_is_the_alternating_sum():
+    a = reduced_linearization(sphere(2))
+    whole = SimplicialAbelianGroup(a.rank, a.face_rows)
+    assert list(whole.nondegenerate(3)) == list(range(a.rank(3)))
+    faces = [a.face_matrix(3, i) for i in range(4)]
+    dense = [
+        [sum((-1) ** i * face[r][j] for i, face in enumerate(faces)) for j in range(a.rank(3))]
+        for r in range(a.rank(2))
+    ]
+    assert whole.boundary_rows(3) == [{j: x for j, x in enumerate(row) if x} for row in dense]
+
+
 def test_moore_homology_point_trivial():
     a = reduced_linearization(point())
     for s in range(4):
@@ -210,13 +232,9 @@ LAYER_SPACES = [
 @pytest.mark.parametrize("name,space_fn", LAYER_SPACES)
 @pytest.mark.parametrize("n", [2, 3])
 def test_layer_homology_matches_moore_oracle(name, space_fn, n):
-    # the oracle keeps the Moore-basis route with its own elimination; at
-    # M(Z/2,2) class 3, s = 3 (ranks 70 and 330) that elimination takes
-    # seconds, so the point is left to the benchmark's reference, which
-    # checks it on every layers run
+    # the oracle keeps the Moore-basis route with its own elimination
     group = layer(loop_group(space_fn()), n).abelian()
-    top = 2 if (name, n) == ("moore_2_2", 3) else 3
-    for s in range(top + 1):
+    for s in range(4):
         got = moore_homology(group, s)
         o_rank, o_torsion = oracles.moore_homology_oracle(
             lambda q: group.rank(q) if q >= 0 else 0, group.face_matrix, s

@@ -1,6 +1,9 @@
+import time
 import tracemalloc
 
 import pytest
+
+import oracles
 
 
 from loopnil.abelian import AbelianInvariants
@@ -20,6 +23,18 @@ from loopnil.tower import (
 )
 
 FIXTURES = [sphere(1), sphere(2), wedge(sphere(1), sphere(1)), moore_space(2, 2)]
+
+
+def test_degeneracy_masks_mark_the_degeneracy_images():
+    for space in FIXTURES + [sphere(3), moore_space(3, 2)]:
+        g = loop_group(space)
+        for q in range(5):
+            masks = [0] * g.gen_count(q)
+            for i in range(q):
+                for h in range(g.gen_count(q - 1)):
+                    ((img, _),) = g.degeneracy_word(q - 1, i, h)
+                    masks[img] |= 1 << i
+            assert g.degeneracy_masks(q) == masks, (space.name, q)
 
 
 def test_generator_counts():
@@ -139,6 +154,83 @@ def test_layer_homotopy_memory_stays_small():
         tracemalloc.stop()
     assert inv == AbelianInvariants(0, ())
     assert peak < 100 * 2**20, f"peak {peak / 2**20:.0f} MB"
+
+
+NORMALIZED_SPACES = [
+    ("s2", lambda: sphere(2)),
+    ("s3", lambda: sphere(3)),
+    ("s2vs2", lambda: wedge(sphere(2), sphere(2))),
+    ("moore_2_2", lambda: moore_space(2, 2)),
+    ("moore_3_2", lambda: moore_space(3, 2)),
+]
+
+# largest rank(s) * rank(s + 1) of the full complex the oracle is given
+ORACLE_CELLS = 40_000
+
+
+@pytest.mark.parametrize("name,space_fn", NORMALIZED_SPACES)
+def test_normalized_layer_homotopy_matches_unnormalized_oracle(name, space_fn):
+    # the oracle takes the Moore-basis route on the full faces of every
+    # Hall tree, degenerate ones included
+    space = space_fn()
+    checked = 0
+    for n in (2, 3, 4):
+        full = layer(loop_group(space), n).abelian()
+        for s in range(5):
+            if full.rank(s) * full.rank(s + 1) > ORACLE_CELLS:
+                continue
+            got = layer_homotopy(loop_group(space), n, s)
+            want = oracles.moore_homology_oracle(
+                lambda q: full.rank(q) if q >= 0 else 0, full.face_matrix, s
+            )
+            assert (got.rank, list(got.torsion)) == want, (name, n, s)
+            checked += 1
+    assert checked == {"s2": 15, "s3": 14, "s2vs2": 12, "moore_2_2": 12, "moore_3_2": 7}[name]
+
+
+@pytest.mark.parametrize("name,space_fn", NORMALIZED_SPACES)
+def test_normalized_rank_counts_the_nondegenerate_trees(name, space_fn):
+    g = loop_group(space_fn())
+    for n in (1, 2, 3, 4):
+        lay = layer(g, n)
+        simp = lay.abelian()
+        for q in range(6):
+            if lay.rank(q) <= 30_000:
+                assert lay.normalized_rank(q) == len(simp.nondegenerate(q)), (name, n, q)
+
+
+def test_normalized_ranks_of_the_large_layers():
+    m32 = layer(loop_group(moore_space(3, 2)), 4)
+    assert [m32.normalized_rank(q) for q in range(6)] == [0, 18, 1584, 21357, 107271, 258795]
+    assert [m32.rank(q) for q in range(6)] == [0, 18, 1620, 26163, 202275, 1024650]
+    s2vs2 = layer(loop_group(wedge(sphere(2), sphere(2))), 3)
+    assert [s2vs2.normalized_rank(q) for q in range(4, 7)] == [0, 0, 0]
+
+
+def test_layer_homotopy_refused_by_the_normalized_rank():
+    from loopnil.caps import DEFAULT_MAX_LAYER_RANK, Caps
+    from loopnil.errors import CapExceeded
+
+    # M(Z/3,2) class 4: s = 3 needs N_4 = 107,271, s = 4 needs N_5 = 258,795
+    assert 107_271 <= DEFAULT_MAX_LAYER_RANK < 258_795
+    g = loop_group(moore_space(3, 2))
+    start = time.process_time()
+    with pytest.raises(CapExceeded, match="N_5 = 258795 exceeds cap"):
+        layer_homotopy(g, 4, 4)
+    assert time.process_time() - start < 1.0
+    # N_s = 0 answers 0 whatever the cap; a nonzero N_s or N_{s+1} over it
+    # is refused
+    none = Caps(max_layer_rank=0)
+    assert layer_homotopy(loop_group(wedge(sphere(2), sphere(2))), 3, 5, none).is_trivial
+    with pytest.raises(CapExceeded, match="N_2 = 1 exceeds cap 0"):
+        layer_homotopy(loop_group(sphere(2)), 2, 2, none)
+
+
+def test_layer_rank_cap_reads_the_environment(monkeypatch):
+    from loopnil.caps import ENV_MAX_LAYER_RANK, current_caps
+
+    monkeypatch.setenv(ENV_MAX_LAYER_RANK, "17")
+    assert current_caps().max_layer_rank == 17
 
 
 def test_tower_exactness_rank_additivity_and_composites():
