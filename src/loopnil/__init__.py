@@ -12,7 +12,6 @@ from .errors import (
     LoopnilError,
     MalformedJson,
     SchemaViolation,
-    UnsupportedTorsion,
 )
 from .hall import (
     LieElement,

@@ -68,15 +68,14 @@ def parse_word(text, names):
     for token in text.split():
         name, caret, exp = token.partition("^")
         if caret:
-            try:
-                e = int(exp, 10)
-            except ValueError:
-                raise MalformedJson(f"bad exponent in token {token!r}") from None
+            if not _ascii_digits(exp[1:] if exp[:1] in ("+", "-") else exp):
+                raise MalformedJson(f"bad exponent in token {token!r}")
+            e = int(exp)
         else:
             e = 1
         if name in names:
             g = names[name] + 1
-        elif name.startswith("x") and name[1:].isdigit():
+        elif name.startswith("x") and _ascii_digits(name[1:]):
             g = int(name[1:])
         else:
             raise SchemaViolation(f"unknown generator {name!r}")
@@ -84,6 +83,12 @@ def parse_word(text, names):
             raise SchemaViolation(f"generator {name!r} out of range 1..{k}")
         word.append((g, e))
     return word
+
+
+def _ascii_digits(text):
+    """Nonempty and only 0-9: ``str.isdigit`` also accepts superscripts and
+    other scripts' digits, and ``int`` also accepts underscores."""
+    return text.isascii() and text.isdigit()
 
 
 def default_names(k):

@@ -14,11 +14,6 @@ class InternalInvariantError(LoopnilError):
     """An internal consistency check failed.  Always a bug, never bad input."""
 
 
-class UnsupportedTorsion(LoopnilError):
-    """A simplicial abelian group with torsion degrees was fed to a routine
-    that only supports free degrees."""
-
-
 class InputError(LoopnilError):
     """Rejected input.  ``code`` distinguishes malformed JSON (1), schema
     violations (2) and simplicial-identity violations (3)."""

@@ -7,8 +7,8 @@ value because intermediate entry blowup is the known failure mode of integer
 elimination.  ``sparse_invariant_factors`` is the one route to invariant
 factors: a sparse elimination of unit pivots over ``{col: value}`` rows
 that keeps no transform.  The dense Smith form with its transforms,
-``kernel_basis`` and ``solve_columns`` remain as tools for the tests; no
-module of the package calls them.
+``smith_normal_form``, is kept for the tests and for the benchmark tracer,
+which wraps it by name; no module of the package calls it.
 """
 
 from .errors import InternalInvariantError
@@ -41,32 +41,6 @@ def copy_matrix(a):
 def transpose(a, ncols=None):
     m, n = shape(a, ncols)
     return [[a[i][j] for i in range(m)] for j in range(n)]
-
-
-def matmul(a, b, a_cols=None, b_cols=None):
-    # row counts are always len(); column counts of empty matrices are
-    # unknowable, so they are inferred from the other operand when needed
-    m = len(a)
-    n = len(a[0]) if m else a_cols
-    n2 = len(b)
-    p = len(b[0]) if n2 else b_cols
-    if n is not None and n != n2:
-        raise InternalInvariantError(f"matmul shape mismatch {m}x{n} * {n2}x{p}")
-    if p is None:
-        p = 0
-    out = zeros(m, p)
-    for i in range(m):
-        row = a[i]
-        acc = out[i]
-        for k in range(n):
-            v = row[k]
-            if v:
-                brow = b[k]
-                for j in range(p):
-                    w = brow[j]
-                    if w:
-                        acc[j] += v * w
-    return out
 
 
 def _swap_rows(mats, i, j):
@@ -312,50 +286,3 @@ def sparse_invariant_factors(rows):
     m, n = len(dense), len(cols)
     _diagonalize(dense, m, n)
     return [1] * units + [x for x in diagonal(dense, m, n) if x]
-
-
-def kernel_basis(a, ncols=None):
-    """Columns spanning ``ker(a)`` as a matrix (n x p); saturated lattice."""
-    m, n = shape(a, ncols)
-    if n == 0:
-        return [], 0
-    d = copy_matrix(a)
-    v = identity(n)
-    _diagonalize(d, m, n, v=v)
-    r = min(m, n)
-    free = [j for j in range(n) if j >= r or d[j][j] == 0]
-    basis = [[v[i][j] for j in free] for i in range(n)]
-    return basis, len(free)
-
-
-def solve_columns(a, b, a_cols=None, b_cols=None):
-    """Integer solve ``a @ x == b`` column by column.
-
-    Raises ``InternalInvariantError`` when no integer solution exists; all
-    call sites in this package only solve systems that are solvable by
-    construction.
-    """
-    m, n = shape(a, a_cols)
-    mb, p = shape(b, b_cols)
-    if m != mb:
-        raise InternalInvariantError("solve_columns: row mismatch")
-    if p == 0:
-        return [[] for _ in range(n)], 0
-    d, u, v = smith_normal_form(a, ncols=n)
-    y = matmul(u, b, b_cols=p)
-    r = min(m, n)
-    z = zeros(n, p)
-    for i in range(m):
-        di = d[i][i] if i < r else 0
-        for j in range(p):
-            val = y[i][j]
-            if di:
-                if val % di:
-                    raise InternalInvariantError("solve_columns: no integer solution")
-                if i < n:
-                    z[i][j] = val // di
-            elif val:
-                raise InternalInvariantError("solve_columns: inconsistent system")
-    x = matmul(v, z, b_cols=p)
-    return x, p
-

@@ -12,26 +12,25 @@ degree cap is baked into a value; each homology query fixes its own cap.
 
 from . import intmat
 from .abelian import AbelianInvariants
-from .errors import InternalInvariantError, LoopnilError, UnsupportedTorsion
+from .errors import InternalInvariantError, LoopnilError
 from .simplicial import require_valid
 
 
 class SimplicialAbelianGroup:
-    """Degreewise finitely generated abelian groups with integer face maps
-    acting on chosen generating sets; homotopy reads only the faces.
+    """Degreewise free abelian groups of finite rank with integer face maps
+    on chosen bases; homotopy reads only the faces.
 
-    The face callback gives each map as ``{col: value}`` rows of nonzero
-    entries, one row per generator of the target degree and one column per
-    generator of the source degree.  A group may name, per degree, the
-    indices of the generators that span its degenerate subgroup; its face
-    callback then also takes a list of source generator indices as a third
-    argument and gives one column per listed generator, in list order."""
+    ``face_fn(q, i, cols)`` gives d_i from degree q to degree q-1 as
+    ``{col: value}`` rows of nonzero entries, one row per basis element of
+    degree q-1 and one column per source basis index in ``cols``, in list
+    order.  ``degenerate_fn(q)``, when given, names the indices of the basis
+    elements that span the degenerate subgroup in degree q; a group that
+    names none has no degenerate subgroup."""
 
-    def __init__(self, rank_fn, face_fn, torsion_fn=None, name="", degenerate_fn=None):
+    def __init__(self, rank_fn, face_fn, name="", degenerate_fn=None):
         self._rank_fn = rank_fn
         self._face_fn = face_fn
-        self._torsion_fn = torsion_fn
-        self._degenerate_fn = degenerate_fn
+        self._degenerate_fn = degenerate_fn or (lambda q: ())
         self.name = name
         self._ranks = {}
         self._faces = {}
@@ -44,23 +43,19 @@ class SimplicialAbelianGroup:
             self._ranks[q] = self._rank_fn(q)
         return self._ranks[q]
 
-    def torsion(self, q):
-        if q < 0 or self._torsion_fn is None:
-            return ()
-        return tuple(self._torsion_fn(q))
-
     def face_rows(self, q, i):
-        """d_i from degree q to degree q-1 as ``{col: value}`` rows."""
+        """d_i from degree q to degree q-1 as ``{col: value}`` rows on the
+        whole basis."""
         if not (q >= 1 and 0 <= i <= q):
             raise LoopnilError(f"face d_{i} undefined in degree {q}")
         rows = self._faces.get((q, i))
         if rows is None:
-            rows = self._checked(q, i, self._face_fn(q, i), self.rank(q))
-            self._faces[(q, i)] = rows
+            rows = self._faces[(q, i)] = self._face(q, i, range(self.rank(q)))
         return rows
 
-    def _checked(self, q, i, rows, n):
-        m = self.rank(q - 1)
+    def _face(self, q, i, cols):
+        rows = self._face_fn(q, i, cols)
+        m, n = self.rank(q - 1), len(cols)
         if len(rows) != m or any(
             not isinstance(row, dict)
             or (row and (min(row) < 0 or max(row) >= n or 0 in row.values()))
@@ -78,31 +73,24 @@ class SimplicialAbelianGroup:
         return intmat.dense_rows(self.face_rows(q, i), self.rank(q))
 
     def nondegenerate(self, q):
-        """Ascending indices of the degree-q generators outside the
-        degenerate subgroup; all of them when the group names none."""
+        """Ascending indices of the degree-q basis elements outside the
+        degenerate subgroup."""
         out = self._nondegenerate.get(q)
         if out is None:
-            if self._degenerate_fn is None:
-                out = range(self.rank(q))
-            else:
-                degenerate = set(self._degenerate_fn(q))
-                out = [j for j in range(self.rank(q)) if j not in degenerate]
-            self._nondegenerate[q] = out
+            degenerate = set(self._degenerate_fn(q))
+            out = self._nondegenerate[q] = [
+                j for j in range(self.rank(q)) if j not in degenerate
+            ]
         return out
 
     def boundary_rows(self, q):
         """The normalized boundary sum (-1)^i d_i from degree q to q-1 as
-        ``{col: value}`` rows: one row per nondegenerate generator of degree
-        q-1 and one column per nondegenerate generator of degree q, each
-        numbered in ascending order."""
-        if self._degenerate_fn is None:
-            return _alternating_sum([self.face_rows(q, i) for i in range(q + 1)])
+        ``{col: value}`` rows: one row per nondegenerate basis element of
+        degree q-1 and one column per nondegenerate basis element of degree
+        q, each numbered in ascending order."""
         cols, keep = self.nondegenerate(q), self.nondegenerate(q - 1)
-        faces = []
-        for i in range(q + 1):
-            rows = self._checked(q, i, self._face_fn(q, i, cols), len(cols))
-            faces.append([rows[r] for r in keep])
-        return _alternating_sum(faces)
+        faces = (self._face(q, i, cols) for i in range(q + 1))
+        return _alternating_sum([[rows[r] for r in keep] for rows in faces])
 
 
 def reduced_linearization(space):
@@ -127,12 +115,12 @@ def reduced_linearization(space):
     def degenerate(q):
         return [j for j, ref in enumerate(cached_basis(q)[0]) if ref.is_degenerate]
 
-    def face(q, i, cols=None):
+    def face(q, i, cols):
         refs = cached_basis(q)[0]
         _, tgt_index = cached_basis(q - 1)
         rows = [{} for _ in tgt_index]
-        for j, ref in enumerate(refs if cols is None else [refs[c] for c in cols]):
-            row = tgt_index.get(space.face(ref, i))
+        for j, c in enumerate(cols):
+            row = tgt_index.get(space.face(refs[c], i))
             if row is not None:
                 rows[row][j] = 1
         return rows
@@ -168,12 +156,6 @@ def moore_homology(group, s):
     boundaries is checked to vanish."""
     if s < 0:
         raise LoopnilError(f"degree must be >= 0, got {s}")
-    for q in range(0, s + 2):
-        if group.torsion(q):
-            raise UnsupportedTorsion(
-                f"degree {q} of {group.name or 'group'} has torsion; Moore homology "
-                "here requires free degrees"
-            )
     n_s = len(group.nondegenerate(s))
     if n_s == 0:
         return AbelianInvariants(0, ())

@@ -74,9 +74,6 @@ class TruncatedRing:
                         del out[key]
         return out
 
-    def inv(self, p):
-        return self.power(p, -1)
-
     def power(self, p, e, cap=None):
         """``p ** e`` up to degree ``cap`` (the ring's degree by default) for
         a polynomial with constant term 1 and any integer ``e``: the binomial

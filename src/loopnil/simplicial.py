@@ -293,7 +293,9 @@ def _ref_from_json(cid, i, obj):
         raise SchemaViolation(f"face {i} of {cid!r} must be an object")
     word = obj.get("degeneracies")
     base = obj.get("base")
-    if not isinstance(word, list) or not all(isinstance(x, int) and x >= 0 for x in word):
+    if not isinstance(word, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in word
+    ):
         raise SchemaViolation(f"face {i} of {cid!r}: degeneracies must be nonnegative ints")
     if any(word[t] <= word[t + 1] for t in range(len(word) - 1)):
         raise SchemaViolation(

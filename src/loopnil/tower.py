@@ -42,11 +42,12 @@ class LoopGroup:
         self._degeneracy_words = {}
 
     def generators(self, q):
-        """Generator refs in degree q (cap-checked)."""
+        """Generator refs in degree q; a degree over the degree cap is
+        refused before it is enumerated, and so is never cached."""
         if q < 0:
             return []
-        self.caps.check_degree(q, f"loop group of {self.space.name}")
         if q not in self._gens:
+            self.caps.check_degree(q, f"loop group of {self.space.name}")
             gens = [r for r in self.space.refs(q + 1) if not r.is_s0_degenerate]
             self._gens[q] = gens
             self._index[q] = {r: i for i, r in enumerate(gens)}
@@ -346,8 +347,8 @@ class LayerObject:
         return maps
 
     def _lie_route(self, lie, kind, q, i, *trees):
-        """``lie`` (``lie_of_map``, or ``lie_rows`` with its optional source
-        trees) of the abelianized map."""
+        """``lie`` (``lie_of_map``, or ``lie_rows`` with its source trees) of
+        the abelianized map."""
         target = q - 1 if kind == "face" else q + 1
         return lie(
             abelianized_matrix(self.group, q, i, kind),
@@ -389,9 +390,7 @@ class LayerObject:
             masks = group.degeneracy_masks(q)
             return subalphabet_trees(len(masks), n, masks)
 
-        def face(q, i, cols=None):
-            if cols is None:
-                return self._lie_route(lie_rows, "face", q, i)
+        def face(q, i, cols):
             basis = hall_basis(group.gen_count(q), n)
             return self._lie_route(lie_rows, "face", q, i, [basis[j] for j in cols])
 

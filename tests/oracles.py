@@ -210,6 +210,11 @@ def cokernel_by_snf(mat):
     return m - len(nonzero), [d for d in nonzero if d > 1]
 
 
+def matmul(a, b, cols):
+    """a @ b for dense integer matrices, b having ``cols`` columns."""
+    return [[sum(x * row[j] for x, row in zip(r, b)) for j in range(cols)] for r in a]
+
+
 def kernel_rank_by_fractions(mat, ncols=None):
     """Rank of the rational kernel (equals the integer kernel rank)."""
     m = len(mat)

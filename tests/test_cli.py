@@ -127,6 +127,10 @@ def test_collect_word_aliases():
         ("a^ b", "malformed-json", "bad exponent in token 'a^'"),
         ("x3", "schema", "generator 'x3' out of range 1..2"),
         ("x5", "schema", "generator 'x5' out of range 1..2"),
+        # only ASCII digits: "²".isdigit() holds, and int() reads "٣" and "1_000"
+        ("x²", "schema", "unknown generator 'x²'"),
+        ("a^٣", "malformed-json", "bad exponent in token 'a^٣'"),
+        ("a^1_000", "malformed-json", "bad exponent in token 'a^1_000'"),
     ],
 )
 def test_word_exponents_and_generator_range(tmp_path, word, kind, message):

@@ -44,12 +44,8 @@ def test_face_matrices_satisfy_simplicial_identities():
     for q in range(2, 5):
         for j in range(q + 1):
             for i in range(j):
-                lhs = intmat.matmul(
-                    a.face_matrix(q - 1, i), a.face_matrix(q, j), b_cols=a.rank(q)
-                )
-                rhs = intmat.matmul(
-                    a.face_matrix(q - 1, j - 1), a.face_matrix(q, i), b_cols=a.rank(q)
-                )
+                lhs = oracles.matmul(a.face_matrix(q - 1, i), a.face_matrix(q, j), a.rank(q))
+                rhs = oracles.matmul(a.face_matrix(q - 1, j - 1), a.face_matrix(q, i), a.rank(q))
                 assert lhs == rhs
 
 
@@ -60,11 +56,11 @@ def test_moore_boundary_squares_to_zero():
         for q in range(2, 5):
             d1 = a.face_matrix(q, 0)
             d2 = a.face_matrix(q - 1, 0)
-            dd = intmat.matmul(d2, d1, b_cols=a.rank(q))
+            dd = oracles.matmul(d2, d1, a.rank(q))
             # d0 d0 equals d0 d1 by the simplicial identities, so on the Moore
             # subgroup the square vanishes; check the identity globally
             d1_alt = a.face_matrix(q, 1)
-            alt = intmat.matmul(d2, d1_alt, b_cols=a.rank(q))
+            alt = oracles.matmul(d2, d1_alt, a.rank(q))
             assert dd == alt
 
 
@@ -103,7 +99,8 @@ def test_reduced_linearization_names_the_degenerate_simplices():
 
 def test_normalized_boundary_without_degeneracies_is_the_alternating_sum():
     a = reduced_linearization(sphere(2))
-    whole = SimplicialAbelianGroup(a.rank, a.face_rows)
+    # no degenerate set, so every face is asked for on the whole basis
+    whole = SimplicialAbelianGroup(a.rank, lambda q, i, cols: a.face_rows(q, i))
     assert list(whole.nondegenerate(3)) == list(range(a.rank(3)))
     faces = [a.face_matrix(3, i) for i in range(4)]
     dense = [
@@ -111,6 +108,32 @@ def test_normalized_boundary_without_degeneracies_is_the_alternating_sum():
         for r in range(a.rank(2))
     ]
     assert whole.boundary_rows(3) == [{j: x for j, x in enumerate(row) if x} for row in dense]
+
+
+@pytest.mark.parametrize(
+    "group_fn, s, want",
+    [
+        (lambda: reduced_linearization(moore_space(2, 2)), 2, AbelianInvariants(0, (2,))),
+        (lambda: layer(loop_group(moore_space(2, 2)), 2).abelian(), 2, None),
+    ],
+)
+def test_moore_homology_evaluates_only_nondegenerate_generators(group_fn, s, want):
+    # the face callback is asked for the nondegenerate source columns only,
+    # and some generators in those degrees are degenerate
+    group = group_fn()
+    face_fn, asked = group._face_fn, []
+
+    def recording(q, i, cols):
+        asked.append((q, i, list(cols)))
+        return face_fn(q, i, cols)
+
+    group._face_fn = recording
+    got = moore_homology(group, s)
+    assert want is None or got == want
+    assert [(q, i) for q, i, _ in asked] == [(q, i) for q in (s, s + 1) for i in range(q + 1)]
+    for q, _, cols in asked:
+        assert cols == group.nondegenerate(q)
+    assert len(group.nondegenerate(s + 1)) < group.rank(s + 1)
 
 
 def test_moore_homology_point_trivial():
@@ -145,7 +168,8 @@ def test_moore_boundary_squared_is_zero_matrix():
             if q <= 0 or n == 0:
                 return intmat.identity(n), n
             stacked = [row for i in range(1, q + 1) for row in a.face_matrix(q, i)]
-            return intmat.kernel_basis(stacked, ncols=n)
+            basis = oracles._integer_kernel(stacked, n)
+            return basis, len(basis[0])
 
         for s in range(1, 4):
             k_lo, n_lo = moore_basis(s - 1)
@@ -153,29 +177,15 @@ def test_moore_boundary_squared_is_zero_matrix():
             k_hi, n_hi = moore_basis(s + 1)
             if n_hi == 0 or n_lo == 0:
                 continue
-            c_mid, _ = intmat.solve_columns(
-                k_lo, intmat.matmul(a.face_matrix(s, 0), k_mid, b_cols=n_mid),
-                a_cols=n_lo, b_cols=n_mid,
+            # kernel bases are independent, so the rational solves are exact
+            c_mid = oracles._solve_in_basis(
+                k_lo, oracles.matmul(a.face_matrix(s, 0), k_mid, n_mid), a.rank(s - 1), n_lo, n_mid
             )
-            c_hi, _ = intmat.solve_columns(
-                k_mid, intmat.matmul(a.face_matrix(s + 1, 0), k_hi, b_cols=n_hi),
-                a_cols=n_mid, b_cols=n_hi,
+            c_hi = oracles._solve_in_basis(
+                k_mid, oracles.matmul(a.face_matrix(s + 1, 0), k_hi, n_hi), a.rank(s), n_mid, n_hi
             )
-            square = intmat.matmul(c_mid, c_hi, a_cols=n_mid, b_cols=n_hi)
+            square = oracles.matmul(c_mid, c_hi, n_hi)
             assert all(all(v == 0 for v in row) for row in square)
-
-
-def test_moore_homology_rejects_torsion_degrees():
-    from loopnil.errors import UnsupportedTorsion
-
-    g = SimplicialAbelianGroup(
-        lambda q: 1 if q >= 0 else 0,
-        lambda q, i: [[1]],
-        torsion_fn=lambda q: (2,) if q == 1 else (),
-        name="torsion-test",
-    )
-    with pytest.raises(UnsupportedTorsion):
-        moore_homology(g, 1)
 
 
 def test_sphere_homology_window():
@@ -203,7 +213,7 @@ def test_boundary_squared_nonzero_raises():
     }
     g = SimplicialAbelianGroup(
         lambda q: (1, 2, 1)[q] if q <= 2 else 0,
-        lambda q, i: faces[(q, i)],
+        lambda q, i, cols: faces[(q, i)],
         name="not-simplicial",
     )
     with pytest.raises(InternalInvariantError, match="boundary squared"):
@@ -217,7 +227,7 @@ def test_boundary_squared_nonzero_raises():
 def test_face_rows_are_shape_checked(rows):
     # degree 1 and degree 0 both have rank 2: d_0 needs two {col: value}
     # rows of nonzero entries in columns 0 and 1
-    g = SimplicialAbelianGroup(lambda q: 2, lambda q, i: rows, name="bad")
+    g = SimplicialAbelianGroup(lambda q: 2, lambda q, i, cols: rows, name="bad")
     with pytest.raises(InternalInvariantError, match="expected 2 rows"):
         g.face_rows(1, 0)
 

@@ -247,7 +247,7 @@ def test_ring_power_matches_repeated_mul(k, n):
     ring = sys.ring
     for _ in range(4):
         p = random_group_like(sys, rng)
-        p_inv = ring.inv(p)
+        p_inv = ring.power(p, -1)
         assert ring.is_one(ring.mul(p_inv, p))
         assert ring.is_one(ring.mul(p, p_inv))
         rep, rep_inv = ring.one, ring.one
@@ -269,7 +269,7 @@ def test_ring_power_requires_constant_term_one():
     with pytest.raises(InternalInvariantError):
         ring.power({(): 2, (0,): 1}, 3)
     with pytest.raises(InternalInvariantError):
-        ring.inv({(0,): 1})
+        ring.power({(0,): 1}, -1)
 
 
 def test_extract_inverts_vector_to_poly():
@@ -315,7 +315,7 @@ def test_cut_commutator_matches_three_products(k, n):
     for _ in range(12):
         p = random_group_like(sys, rng, low=rng.randint(1, n + 1))
         q = random_group_like(sys, rng, low=rng.randint(1, n + 1))
-        want = ring.mul(ring.mul(ring.inv(p), ring.inv(q)), ring.mul(p, q))
+        want = ring.mul(ring.mul(ring.power(p, -1), ring.power(q, -1)), ring.mul(p, q))
         assert ring.commutator(p, q) == want
 
 

@@ -231,4 +231,9 @@ def test_json_schema_violations():
     }
     with pytest.raises(SchemaViolation):
         SimplicialSet.from_json(two_vertices)
+    # JSON false is not the index 0, although Python's bool is an int
+    bool_index = sphere(2).to_json()
+    bool_index["simplices"][2][0]["faces"] = [{"degeneracies": [False], "base": "*"}] * 3
+    with pytest.raises(SchemaViolation, match="degeneracies must be nonnegative ints"):
+        SimplicialSet.from_json(bool_index)
     assert SimplicialSet.from_json(good).violations() == []

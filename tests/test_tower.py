@@ -25,6 +25,29 @@ from loopnil.tower import (
 FIXTURES = [sphere(1), sphere(2), wedge(sphere(1), sphere(1)), moore_space(2, 2)]
 
 
+def test_loop_group_checks_the_degree_cap_once_per_degree():
+    from loopnil.caps import Caps
+    from loopnil.errors import CapExceeded
+
+    checked = []
+
+    class CountingCaps(Caps):
+        def check_degree(self, degree, context):
+            checked.append(degree)
+            super().check_degree(degree, context)
+
+    g = loop_group(sphere(2), CountingCaps(max_degree=2))
+    for _ in range(3):
+        g.gen_count(2)
+        g.face_word(2, 0, 0)
+    assert checked == [2, 1]
+    # an over-cap degree is never cached, so it is refused every time
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match="degree 3 exceeds cap 2"):
+            g.gen_count(3)
+    assert checked == [2, 1, 3, 3]
+
+
 def test_degeneracy_masks_mark_the_degeneracy_images():
     for space in FIXTURES + [sphere(3), moore_space(3, 2)]:
         g = loop_group(space)
