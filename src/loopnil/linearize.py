@@ -6,12 +6,12 @@ declares per degree when its degeneracies send basis elements to basis
 elements.  Answers are read off sparse invariant factors, and every computed
 answer checks that the boundary squares to zero.
 
-Degrees are produced on demand through provider callbacks, so no global
-degree cap is baked into a value; each homology query fixes its own cap.
+Degrees are produced on demand through provider callbacks.
 """
 
 from . import intmat
 from .abelian import AbelianInvariants
+from .caps import current_caps
 from .errors import InternalInvariantError, LoopnilError
 from .simplicial import require_valid
 
@@ -97,13 +97,15 @@ def reduced_linearization(space):
     """Free simplicial abelian group on a reduced space modulo the basepoint
     ray: degree q is free on all q-simplices except the basepoint degeneracy,
     with induced face maps.  The degeneracies send simplices to simplices,
-    so the degenerate simplices span the degenerate subgroup."""
+    so the degenerate simplices span the degenerate subgroup.  The degree
+    cap, read when the group is built, refuses a degree before it is listed."""
     require_valid(space)
-
+    caps = current_caps()
     cache = {}
 
     def cached_basis(q):
         if q not in cache:
+            caps.check_degree(q, f"reduced linearization of {space.name}")
             base = space.base_ref(q)
             refs = [r for r in space.refs(q) if r != base]
             cache[q] = (refs, {r: i for i, r in enumerate(refs)})

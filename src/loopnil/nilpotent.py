@@ -32,6 +32,7 @@ p + q > n commute and need none.
 """
 
 import math
+from operator import itemgetter
 import threading
 from dataclasses import dataclass
 
@@ -44,6 +45,8 @@ from .hall import hall_basis, normalize_tree, total_hall_rank, tree_str, tree_we
 # ---------------------------------------------------------------------------
 # degree-truncated free associative ring; polynomials are dicts monomial->int
 # with monomials tuples of 0-based generator indices
+
+_degree = itemgetter(0)
 
 
 class TruncatedRing:
@@ -58,20 +61,22 @@ class TruncatedRing:
 
     def mul(self, p, q, cap=None):
         """``p q`` with every term above degree ``cap`` (the ring's degree
-        by default) dropped."""
+        by default) dropped; q's terms are taken by ascending degree."""
         if cap is None:
             cap = self.degree
+        right = sorted(zip(map(len, q), q, q.values()), key=_degree)
         out = {}
         for ma, ca in p.items():
-            la = len(ma)
-            for mb, cb in q.items():
-                if la + len(mb) <= cap:
-                    key = ma + mb
-                    v = out.get(key, 0) + ca * cb
-                    if v:
-                        out[key] = v
-                    elif key in out:
-                        del out[key]
+            room = cap - len(ma)
+            for lb, mb, cb in right:
+                if lb > room:
+                    break
+                key = ma + mb
+                v = out.get(key, 0) + ca * cb
+                if v:
+                    out[key] = v
+                elif key in out:
+                    del out[key]
         return out
 
     def power(self, p, e, cap=None):

@@ -40,7 +40,7 @@ from .abelian import AbelianInvariants
 from .caps import current_caps
 from .errors import LoopnilError
 from .hall import witt_rank
-from .nilpotent import NilpotentElement, collect, nil_commutator, nil_multiply, nil_power
+from .nilpotent import collect, nil_commutator, nil_multiply, nil_power
 
 
 @dataclass(frozen=True)
@@ -108,20 +108,16 @@ def nilpotent_quotient(k, relators, n, caps=None):
     """Layers and polycyclic relations of the class-n quotient of the group
     presented by k generators and the given relator words.
 
-    Relators may be free words (lists of (generator, exponent) pairs) or
-    ready NilpotentElement values in the matching free class-n group.
+    Each relator is a free word, a list of (generator, exponent) pairs with
+    generators in 1..k.
     """
     caps = caps or current_caps()
     if n < 1:
         raise LoopnilError(f"class must be >= 1, got {n}")
     gens = [collect([(i, 1)], k, n, caps) for i in range(1, k + 1)]
     basket = []
-    for r in relators:
-        if isinstance(r, NilpotentElement):
-            if (r.k, r.n) != (k, n):
-                raise LoopnilError("relator lives in the wrong ambient group")
-        else:
-            r = collect(r, k, n, caps)
+    for word in relators:
+        r = collect(word, k, n, caps)
         if not r.is_identity:
             basket.append(r)
 

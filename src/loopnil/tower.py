@@ -8,7 +8,6 @@ delooped object.
 """
 
 import math
-from dataclasses import dataclass
 
 from . import intmat
 from .caps import current_caps
@@ -16,12 +15,13 @@ from .errors import InternalInvariantError, LoopnilError
 from .hall import hall_basis, lie_of_map, lie_rows, subalphabet_trees, total_hall_rank, witt_rank
 from .linearize import SimplicialAbelianGroup, moore_homology
 from .nilpotent import (
+    NilpotentElement,
     NilpotentHom,
     _check_rank,
-    collect,
     invert_free_word,
     layer_matrix,
     reduce_free_word,
+    rule_system,
 )
 from .nilq import nilpotent_quotient
 from .simplicial import require_valid
@@ -30,7 +30,10 @@ from .simplicial import require_valid
 class LoopGroup:
     """Free simplicial group on a reduced space: degree-q generators are the
     (q+1)-simplices minus the s0-degenerate ones, with the twisted face
-    d_0 g = (d_1 g) * (d_0 g)^-1 and shifted faces/degeneracies otherwise."""
+    d_0 g = (d_1 g) * (d_0 g)^-1 and shifted faces/degeneracies otherwise.
+
+    Its caps (the environment's unless given) govern every stage, layer and
+    homotopy request built on it, the element arithmetic included."""
 
     def __init__(self, space, caps=None):
         require_valid(space)
@@ -103,6 +106,15 @@ class LoopGroup:
             word = ((tgt, 1),)
             self._degeneracy_words[key] = word
         return word
+
+    def map_words(self, q, i, kind):
+        """Target degree and the word of every degree-q generator under d_i
+        (kind 'face') or s_i (kind 'degeneracy')."""
+        if kind == "face":
+            target, word_of = q - 1, self.face_word
+        else:
+            target, word_of = q + 1, self.degeneracy_word
+        return target, [word_of(q, i, g) for g in range(self.gen_count(q))]
 
     def degeneracy_masks(self, q):
         """Bit i of entry g is set when generator g of degree q is the image
@@ -182,8 +194,7 @@ class LoopGroup:
         return bad
 
 
-def loop_group(space, caps=None):
-    return LoopGroup(space, caps)
+loop_group = LoopGroup
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +204,8 @@ def loop_group(space, caps=None):
 def abelianized_matrix(group, q, i, kind):
     """Integer matrix of d_i (kind 'face') or s_i (kind 'degeneracy') on the
     degreewise abelianization of the loop group."""
-    if kind == "face":
-        rows = group.gen_count(q - 1)
-        cols = group.gen_count(q)
-        words = [group.face_word(q, i, g) for g in range(cols)]
-    else:
-        rows = group.gen_count(q + 1)
-        cols = group.gen_count(q)
-        words = [group.degeneracy_word(q, i, g) for g in range(cols)]
-    out = intmat.zeros(rows, cols)
+    target, words = group.map_words(q, i, kind)
+    out = intmat.zeros(group.gen_count(target), len(words))
     for j, word in enumerate(words):
         for g, e in word:
             out[g][j] += e
@@ -214,37 +218,31 @@ def abelianized_matrix(group, q, i, kind):
 
 class SimplicialGroupTower:
     """Degreewise class-n quotients of a loop group with collected face and
-    degeneracy homomorphisms."""
+    degeneracy homomorphisms; caps are the loop group's."""
 
-    def __init__(self, group, n, caps=None):
-        caps = caps or group.caps
-        caps.check_class(n, f"tower stage over {group.space.name}")
+    def __init__(self, group, n):
+        if n < 1:
+            raise LoopnilError(f"class must be >= 1, got {n}")
+        group.caps.check_class(n, f"tower stage over {group.space.name}")
         self.group = group
         self.n = n
-        self.caps = caps
         self._homs = {}
 
-    def gen_count(self, q):
-        return self.group.gen_count(q)
-
     def _hom(self, q, i, kind):
+        """d_i or s_i out of degree q, each generator's word collected by the
+        target's engine; loop-group words use only the target's letters.
+        The source's engine is resolved under the same caps, because
+        ``layer_matrix`` and ``apply_hom`` look it up without caps."""
         key = (q, i, kind)
         hom = self._homs.get(key)
         if hom is None:
-            if kind == "face":
-                src = self.gen_count(q)
-                tgt = self.gen_count(q - 1)
-                words = [self.group.face_word(q, i, g) for g in range(src)]
-            else:
-                src = self.gen_count(q)
-                tgt = self.gen_count(q + 1)
-                words = [self.group.degeneracy_word(q, i, g) for g in range(src)]
-            images = tuple(
-                collect([(g + 1, e) for g, e in w], tgt, self.n, self.caps)
-                for w in words
-            )
-            hom = NilpotentHom(src, tgt, self.n, images)
-            self._homs[key] = hom
+            group, n = self.group, self.n
+            target, words = group.map_words(q, i, kind)
+            k, caps = group.gen_count(target), group.caps
+            rule_system(len(words), n, caps)
+            engine = rule_system(k, n, caps)
+            images = tuple(NilpotentElement(k, n, tuple(engine.collect(w))) for w in words)
+            hom = self._homs[key] = NilpotentHom(len(words), k, n, images)
         return hom
 
     def face_hom(self, q, i):
@@ -255,60 +253,41 @@ class SimplicialGroupTower:
 
     def truncate(self):
         """The stage one class lower; images truncate compatibly."""
-        if self.n <= 1:
-            raise LoopnilError("no stage below class 1")
-        return SimplicialGroupTower(self.group, self.n - 1, self.caps)
+        return SimplicialGroupTower(self.group, self.n - 1)
 
 
-def tower_stage(group, n, caps=None):
-    if n < 1:
-        raise LoopnilError(f"class must be >= 1, got {n}")
-    return SimplicialGroupTower(group, n, caps)
+tower_stage = SimplicialGroupTower
 
 
 def pi0(stage):
     """Component group of a tower stage: the degree-0 group modulo the
     normal closure of d_0(g) d_1(g)^-1 over degree-1 generators."""
-    k0 = stage.gen_count(0)
-    relators = []
-    for g in range(stage.gen_count(1)):
-        w0 = stage.group.face_word(1, 0, g)
-        w1 = stage.group.face_word(1, 1, g)
-        word = list(w0) + invert_free_word(w1)
-        relators.append([(x + 1, e) for x, e in word])
-    return nilpotent_quotient(k0, relators, stage.n, stage.caps)
+    group = stage.group
+    _, d0 = group.map_words(1, 0, "face")
+    _, d1 = group.map_words(1, 1, "face")
+    relators = [
+        [(x + 1, e) for x, e in list(w0) + invert_free_word(w1)] for w0, w1 in zip(d0, d1)
+    ]
+    return nilpotent_quotient(group.gen_count(0), relators, stage.n, group.caps)
 
 
 # ---------------------------------------------------------------------------
 # graded layers
 
 
-@dataclass
-class LayerMaps:
-    """One structure map of the layer computed along both routes."""
-
-    group_matrix: list
-    lie_matrix: list
-
-    @property
-    def comparison_ok(self):
-        return self.group_matrix == self.lie_matrix
-
-
 class LayerObject:
     """The weight-n graded piece of the tower, computed two ways per map:
     by collection in the degreewise free nilpotent groups, and by applying
     the weight-n Lie functor to the abelianized matrices.  The comparison
-    map is the identity on the shared Hall-letter bases."""
+    map is the identity on the shared Hall-letter bases.  Caps are the loop
+    group's."""
 
-    def __init__(self, group, n, caps=None):
-        caps = caps or group.caps
-        caps.check_class(n, f"layer over {group.space.name}")
+    def __init__(self, group, n):
+        if n < 1:
+            raise LoopnilError(f"class must be >= 1, got {n}")
+        group.caps.check_class(n, f"layer over {group.space.name}")
         self.group = group
         self.n = n
-        self.caps = caps
-        self._stage = None
-        self._maps = {}
 
     def rank(self, q):
         return witt_rank(self.group.gen_count(q), self.n)
@@ -324,57 +303,28 @@ class LayerObject:
             for j in range(q + 1)
         )
 
-    def _tower(self):
-        if self._stage is None:
-            self._stage = tower_stage(self.group, self.n, self.caps)
-        return self._stage
-
-    def face_maps(self, q, i):
-        """Both routes for d_i on the degree-q layer (q >= 1)."""
-        return self._both_routes("face", q, i)
-
-    def degeneracy_maps(self, q, i):
-        """Both routes for s_i from the degree-q layer into degree q+1."""
-        return self._both_routes("degeneracy", q, i)
-
-    def _both_routes(self, kind, q, i):
-        key = (kind, q, i)
-        maps = self._maps.get(key)
-        if maps is None:
-            hom = self._tower()._hom(q, i, kind)
-            maps = LayerMaps(layer_matrix(hom, self.n), self._lie_route(lie_of_map, kind, q, i))
-            self._maps[key] = maps
-        return maps
-
-    def _lie_route(self, lie, kind, q, i, *trees):
+    def _lie_route(self, lie, q, i, kind, *trees):
         """``lie`` (``lie_of_map``, or ``lie_rows`` with its source trees) of
         the abelianized map."""
-        target = q - 1 if kind == "face" else q + 1
-        return lie(
-            abelianized_matrix(self.group, q, i, kind),
-            self.n,
-            self.group.gen_count(q),
-            self.group.gen_count(target),
-            *trees,
-        )
+        mat = abelianized_matrix(self.group, q, i, kind)
+        return lie(mat, self.n, self.group.gen_count(q), len(mat), *trees)
 
     def comparison_ok(self, max_degree):
-        """Both routes agree for every structure map among degrees 0..max_degree.
+        """Both routes agree for every structure map among degrees 0..max_degree,
+        compared one map at a time up to the first disagreement.
 
         Refused before any work when a collection engine it needs is over
         the Hall-rank cap."""
         if max_degree >= 1:
             k = max(self.group.gen_count(q) for q in range(max_degree + 1))
-            _check_rank(self.caps, k, self.n, total_hall_rank(k, self.n))
-        for q in range(1, max_degree + 1):
-            for i in range(q + 1):
-                if not self.face_maps(q, i).comparison_ok:
-                    return False
-        for q in range(0, max_degree):
-            for i in range(q + 1):
-                if not self.degeneracy_maps(q, i).comparison_ok:
-                    return False
-        return True
+            _check_rank(self.group.caps, k, self.n, total_hall_rank(k, self.n))
+        stage = SimplicialGroupTower(self.group, self.n)
+        maps = [(q, i, "face") for q in range(1, max_degree + 1) for i in range(q + 1)]
+        maps += [(q, i, "degeneracy") for q in range(max_degree) for i in range(q + 1)]
+        return all(
+            layer_matrix(stage._hom(*m), self.n) == self._lie_route(lie_of_map, *m)
+            for m in maps
+        )
 
     def abelian(self):
         """The Lie-functor side as a simplicial abelian group (the side that
@@ -392,20 +342,17 @@ class LayerObject:
 
         def face(q, i, cols):
             basis = hall_basis(group.gen_count(q), n)
-            return self._lie_route(lie_rows, "face", q, i, [basis[j] for j in cols])
+            return self._lie_route(lie_rows, q, i, "face", [basis[j] for j in cols])
 
         return SimplicialAbelianGroup(
             rank, face, name=f"layer {n} of G({group.space.name})", degenerate_fn=degenerate
         )
 
 
-def layer(group, n, caps=None):
-    if n < 1:
-        raise LoopnilError(f"class must be >= 1, got {n}")
-    return LayerObject(group, n, caps)
+layer = LayerObject
 
 
-def layer_homotopy(group, n, s, caps=None):
+def layer_homotopy(group, n, s):
     """pi_s of the weight-n layer (Lie-functor side), via Moore homology.
 
     Refused before any face is built when N_s is nonzero and N_s or
@@ -415,12 +362,12 @@ def layer_homotopy(group, n, s, caps=None):
     Lie_1 is the identity functor, so layer 1 is the abelianized loop group:
     the reduced linearization of the space shifted through the loop-group
     construction (the basepoint ray and s0-degeneracies die)."""
-    caps = caps or group.caps
+    caps = group.caps
     if s < 0:
         raise LoopnilError(f"degree must be >= 0, got {s}")
     context = f"layer homotopy over {group.space.name}"
     caps.check_degree(s + 1, context)
-    lay = layer(group, n, caps)
+    lay = LayerObject(group, n)
     if lay.normalized_rank(s):
         for q in (s, s + 1):
             caps.check_layer_rank(q, lay.normalized_rank(q), context)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -272,6 +273,22 @@ def test_layer_rank_cap_exit(tmp_path):
     code, rep = run_json(["layer-homotopy", str(path), "--class", "4", "--degree", "4"])
     assert code == 3 and rep["error"]["kind"] == "resource-cap"
     assert "N_5 = 258795" in rep["error"]["message"]
+
+
+def test_homology_degree_cap_exit():
+    # degree 7 is one past the default degree cap; its simplices are never
+    # listed, however far past the cap the request goes
+    from loopnil.linearize import moore_homology, reduced_linearization
+    from loopnil.simplicial import sphere
+
+    for degree in ("7", "1000"):
+        start = time.process_time()
+        code, rep = run_json(["homology", space("s2.json"), "--degree", degree])
+        assert time.process_time() - start < 1.0
+        assert code == 3 and rep["error"]["kind"] == "resource-cap"
+        assert f"degree {degree} exceeds cap 6" in rep["error"]["message"]
+    # the highest degree within the cap still answers
+    assert moore_homology(reduced_linearization(sphere(3)), 5).is_trivial
 
 
 def test_class_cap_exit(monkeypatch):

@@ -8,7 +8,7 @@ import oracles
 
 from loopnil.abelian import AbelianInvariants
 from loopnil.hall import total_hall_rank as tower_rank
-from loopnil.hall import witt_rank
+from loopnil.hall import lie_of_map, witt_rank
 from loopnil.linearize import moore_homology, reduced_linearization
 from loopnil.nilpotent import rule_system, NilpotentElement
 from loopnil.nilq import free_nilpotent_layers
@@ -141,6 +141,18 @@ def test_layer_ranks():
     assert layer(gw, 2).rank(0) == 1
 
 
+def test_stages_and_layers_start_at_class_one():
+    from loopnil.errors import LoopnilError
+    from loopnil.tower import LayerObject, SimplicialGroupTower
+
+    g = loop_group(sphere(2))
+    for make in (LayerObject, SimplicialGroupTower):
+        with pytest.raises(LoopnilError, match="class must be >= 1, got 0"):
+            make(g, 0)
+    with pytest.raises(LoopnilError, match="class must be >= 1, got 0"):
+        tower_stage(g, 1).truncate()
+
+
 def test_layer_one_equals_abelianization():
     for space in FIXTURES:
         g = loop_group(space)
@@ -149,7 +161,7 @@ def test_layer_one_equals_abelianization():
         for q in range(1, 4):
             for i in range(q + 1):
                 ab = abelianized_matrix(g, q, i, "face")
-                assert lay.face_maps(q, i).lie_matrix == ab
+                assert lie_of_map(ab, 1, g.gen_count(q), g.gen_count(q - 1)) == ab
                 assert lin.face_matrix(q, i) == ab
 
 
@@ -158,12 +170,11 @@ def test_layer_faces_sparse_rows_equal_dense_lie_route():
         g = loop_group(space)
         for n in (2, 3):
             simp = layer(g, n).abelian()
-            lay = layer(g, n)
             for q in range(1, 4):
                 for i in range(q + 1):
-                    assert simp.face_matrix(q, i) == lay.face_maps(q, i).lie_matrix, (
-                        space.name, n, q, i
-                    )
+                    ab = abelianized_matrix(g, q, i, "face")
+                    lie = lie_of_map(ab, n, g.gen_count(q), g.gen_count(q - 1))
+                    assert simp.face_matrix(q, i) == lie, (space.name, n, q, i)
 
 
 def test_layer_homotopy_memory_stays_small():
@@ -244,9 +255,9 @@ def test_layer_homotopy_refused_by_the_normalized_rank():
     # N_s = 0 answers 0 whatever the cap; a nonzero N_s or N_{s+1} over it
     # is refused
     none = Caps(max_layer_rank=0)
-    assert layer_homotopy(loop_group(wedge(sphere(2), sphere(2))), 3, 5, none).is_trivial
+    assert layer_homotopy(loop_group(wedge(sphere(2), sphere(2)), none), 3, 5).is_trivial
     with pytest.raises(CapExceeded, match="N_2 = 1 exceeds cap 0"):
-        layer_homotopy(loop_group(sphere(2)), 2, 2, none)
+        layer_homotopy(loop_group(sphere(2), none), 2, 2)
 
 
 def test_layer_rank_cap_reads_the_environment(monkeypatch):
@@ -333,7 +344,39 @@ def test_comparison_refused_before_any_engine_is_built():
     with pytest.raises(CapExceeded, match="free class-3 group on 18 generators"):
         lay.comparison_ok(3)
     assert set(nilpotent._systems) == before
-    assert lay._maps == {}
+
+
+def test_comparison_reads_only_the_loop_group_caps(monkeypatch):
+    # the engines are built afresh under an environment cap of 5; the class-2
+    # engine on the 3 generators of degree 2 (Hall rank 6) is first needed
+    # as the source of d_i out of degree 2, and the loop group's cap allows it
+    from loopnil import nilpotent
+    from loopnil.caps import ENV_MAX_HALL_RANK, Caps
+
+    monkeypatch.setattr(nilpotent, "_systems", {})
+    monkeypatch.setenv(ENV_MAX_HALL_RANK, "5")
+    assert layer(loop_group(sphere(2), Caps(max_hall_rank=100)), 2).comparison_ok(3)
+
+
+def test_comparison_fails_when_the_routes_disagree(monkeypatch):
+    # a comparison that never looked at the Lie route would pass every other
+    # test; shifting one entry of each Lie-route matrix must fail it
+    from loopnil import tower
+
+    lay = layer(loop_group(wedge_of_circles(2)), 2)
+    assert lay.comparison_ok(3)
+    calls = []
+
+    def shifted(f, n, src_k, tgt_k):
+        mat = lie_of_map(f, n, src_k, tgt_k)
+        calls.append(mat)
+        mat[0][0] += 1
+        return mat
+
+    monkeypatch.setattr(tower, "lie_of_map", shifted)
+    assert lay.comparison_ok(3) is False
+    # the first map already disagrees, so no other is compared
+    assert len(calls) == 1
 
 
 def test_tower_homs_satisfy_identities_in_normal_form():
