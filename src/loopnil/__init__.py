@@ -22,7 +22,7 @@ from .hall import (
     tree_str,
     witt_rank,
 )
-from .linearize import SimplicialAbelianGroup, moore_homology, reduced_linearization
+from .linearize import SimplicialAbelianGroup, moore_homology
 from .nilpotent import (
     NilpotentElement,
     NilpotentHom,

@@ -61,10 +61,11 @@ class Caps:
                 f"{self.max_class} (override with {ENV_MAX_CLASS})"
             )
 
-    def check_layer_rank(self, degree: int, rank: int, context: str) -> None:
+    def check_layer_rank(self, label: str, rank: int, context: str) -> None:
+        """Refuses a basis of ``rank`` elements; ``label`` names the count."""
         if rank > self.max_layer_rank:
             raise CapExceeded(
-                f"{context}: normalized layer rank N_{degree} = {rank} exceeds cap "
+                f"{context}: {label} = {rank} exceeds cap "
                 f"{self.max_layer_rank} (override with {ENV_MAX_LAYER_RANK})"
             )
 

@@ -13,6 +13,8 @@ import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
+from .abelian import AbelianInvariants
+from .caps import current_caps
 from .errors import (
     CapExceeded,
     IdentityViolation,
@@ -22,9 +24,8 @@ from .errors import (
     MalformedJson,
     SchemaViolation,
 )
-from .hall import cross_effect_kernel, hall_basis, tree_str, witt_rank
+from .hall import cross_effect_kernel, hall_basis, total_hall_rank, tree_str, witt_rank
 from .jsonio import canonical_dumps, digest_bytes, load_json_bytes, make_report, parse_int
-from .linearize import moore_homology, reduced_linearization
 from .nilq import nilpotent_quotient
 from .nilpotent import collect
 from .simplicial import SimplicialSet
@@ -68,9 +69,10 @@ def parse_word(text, names):
     for token in text.split():
         name, caret, exp = token.partition("^")
         if caret:
-            if not _ascii_digits(exp[1:] if exp[:1] in ("+", "-") else exp):
-                raise MalformedJson(f"bad exponent in token {token!r}")
-            e = int(exp)
+            try:
+                e = ascii_int(exp)
+            except ValueError:
+                raise MalformedJson(f"bad exponent in token {token!r}") from None
         else:
             e = 1
         if name in names:
@@ -89,6 +91,14 @@ def _ascii_digits(text):
     """Nonempty and only 0-9: ``str.isdigit`` also accepts superscripts and
     other scripts' digits, and ``int`` also accepts underscores."""
     return text.isascii() and text.isdigit()
+
+
+def ascii_int(text):
+    """An optional sign, then :func:`_ascii_digits`; the one integer syntax
+    of exponents and integer options."""
+    if not _ascii_digits(text[1:] if text[:1] in ("+", "-") else text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
 
 
 def default_names(k):
@@ -140,12 +150,23 @@ def cmd_validate(args):
 
 def cmd_homology(args):
     space, data = read_space(args.path)
-    inv = moore_homology(reduced_linearization(space), args.degree)
+    s = args.degree
+    if s < 0:
+        raise LoopnilError(f"degree must be >= 0, got {s}")
+    # H~_s is pi_{s-1} of layer 1, the abelianized loop group (Kan); a
+    # reduced space has one vertex, so H~_0 = 0
+    inv = layer_homotopy(loop_group(space), 1, s - 1) if s else AbelianInvariants(0)
     return _invariants_json(inv), digest_bytes(data), EXIT_OK
 
 
 def cmd_hall_basis(args):
-    trees = hall_basis(args.generators, args.cls)
+    # every weight up to the class is enumerated and cached on the way
+    k, n = args.generators, args.cls
+    if k >= 0 and n >= 1:
+        current_caps().check_layer_rank(
+            "Hall tree count", total_hall_rank(k, n), f"hall basis on {k} generators to class {n}"
+        )
+    trees = hall_basis(k, n)
     payload = {
         "generators": args.generators,
         "class": args.cls,
@@ -173,7 +194,7 @@ def cmd_collect(args):
 
 def cmd_cross_effect(args):
     try:
-        ranks = [int(tok) for tok in args.ranks.split(",") if tok != ""]
+        ranks = [ascii_int(tok) for tok in args.ranks.split(",") if tok != ""]
     except ValueError:
         raise SchemaViolation(f"--ranks wants comma-separated integers, got {args.ranks!r}")
     if len(ranks) != args.cls + 1 or any(r < 1 for r in ranks):
@@ -195,8 +216,10 @@ def cmd_nilq(args):
 
 def cmd_loop_group(args):
     space, data = read_space(args.path)
-    g = loop_group(space)
     q = args.degree
+    if q < 0:
+        raise LoopnilError(f"degree must be >= 0, got {q}")
+    g = loop_group(space)
     gens = g.generators(q)
     faces = {}
     if q >= 1:
@@ -303,50 +326,50 @@ def build_parser():
 
     p = sub.add_parser("homology", help="reduced homology of a space")
     p.add_argument("path")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=ascii_int, required=True)
     p.set_defaults(handler=cmd_homology)
 
     p = sub.add_parser("hall-basis", help="Hall basis of basic commutators")
-    p.add_argument("--generators", type=int, required=True)
-    p.add_argument("--class", dest="cls", type=int, required=True)
+    p.add_argument("--generators", type=ascii_int, required=True)
+    p.add_argument("--class", dest="cls", type=ascii_int, required=True)
     p.set_defaults(handler=cmd_hall_basis)
 
     p = sub.add_parser("witt", help="rank of a free Lie module component")
-    p.add_argument("--generators", type=int, required=True)
-    p.add_argument("--class", dest="cls", type=int, required=True)
+    p.add_argument("--generators", type=ascii_int, required=True)
+    p.add_argument("--class", dest="cls", type=ascii_int, required=True)
     p.set_defaults(handler=cmd_witt)
 
     p = sub.add_parser("collect", help="normal form in a free nilpotent group")
-    p.add_argument("--generators", type=int, required=True)
-    p.add_argument("--class", dest="cls", type=int, required=True)
+    p.add_argument("--generators", type=ascii_int, required=True)
+    p.add_argument("--class", dest="cls", type=ascii_int, required=True)
     p.add_argument("--word", required=True)
     p.set_defaults(handler=cmd_collect)
 
     p = sub.add_parser("cross-effect", help="kernel of the first collapse map")
-    p.add_argument("--class", dest="cls", type=int, required=True)
+    p.add_argument("--class", dest="cls", type=ascii_int, required=True)
     p.add_argument("--ranks", required=True)
     p.set_defaults(handler=cmd_cross_effect)
 
     p = sub.add_parser("nilq", help="class-n quotient of a presented group")
     p.add_argument("path")
-    p.add_argument("--class", dest="cls", type=int, required=True)
+    p.add_argument("--class", dest="cls", type=ascii_int, required=True)
     p.set_defaults(handler=cmd_nilq)
 
     p = sub.add_parser("loop-group", help="loop-group generators and face words")
     p.add_argument("path")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=ascii_int, required=True)
     p.set_defaults(handler=cmd_loop_group)
 
     p = sub.add_parser("tower", help="lower-central tower computations")
     p.add_argument("sub", choices=["pi0"])
     p.add_argument("path")
-    p.add_argument("--class", dest="cls", type=int, required=True)
+    p.add_argument("--class", dest="cls", type=ascii_int, required=True)
     p.set_defaults(handler=cmd_tower)
 
     p = sub.add_parser("layer-homotopy", help="homotopy of a graded layer")
     p.add_argument("path")
-    p.add_argument("--class", dest="cls", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--class", dest="cls", type=ascii_int, required=True)
+    p.add_argument("--degree", type=ascii_int, required=True)
     p.set_defaults(handler=cmd_layer_homotopy)
 
     p = sub.add_parser("fixture-check", help="recompute and diff all fixtures")

@@ -336,11 +336,13 @@ def cross_effect_kernel(n, ranks):
     The common kernel of the n+1 collapse maps is the kernel of their
     stacked rows, whatever their signs; kernels of integer matrices are
     free, so the rank is all there is."""
-    current_caps().check_class(n, f"cross-effect kernel of Lie_{n}")
+    caps, context = current_caps(), f"cross-effect kernel of Lie_{n}"
+    caps.check_class(n, context)
     ranks = list(ranks)
     if len(ranks) != n + 1:
         raise LoopnilError(f"expected {n + 1} ranks, got {len(ranks)}")
     total = sum(ranks)
+    caps.check_layer_rank(f"Witt rank of Lie_{n}(Z^{total})", witt_rank(total, n), context)
     rows = []
     for s, r in enumerate(ranks):
         rows += lie_rows(_collapse_matrix(ranks, s), n, total, total - r)

@@ -1,4 +1,4 @@
-"""Simplicial abelian groups, reduced linearization, Moore-complex homotopy.
+"""Simplicial abelian groups and their Moore-complex homotopy.
 
 Homotopy is the homology of the normalized complex: the alternating face
 sums on the basis elements outside the degenerate subgroup, which a group
@@ -6,14 +6,13 @@ declares per degree when its degeneracies send basis elements to basis
 elements.  Answers are read off sparse invariant factors, and every computed
 answer checks that the boundary squares to zero.
 
-Degrees are produced on demand through provider callbacks.
+Degrees are produced on demand through provider callbacks; nothing here
+knows of spaces or caps (``tower.LayerObject.abelian`` builds the groups).
 """
 
 from . import intmat
 from .abelian import AbelianInvariants
-from .caps import current_caps
 from .errors import InternalInvariantError, LoopnilError
-from .simplicial import require_valid
 
 
 class SimplicialAbelianGroup:
@@ -91,43 +90,6 @@ class SimplicialAbelianGroup:
         cols, keep = self.nondegenerate(q), self.nondegenerate(q - 1)
         faces = (self._face(q, i, cols) for i in range(q + 1))
         return _alternating_sum([[rows[r] for r in keep] for rows in faces])
-
-
-def reduced_linearization(space):
-    """Free simplicial abelian group on a reduced space modulo the basepoint
-    ray: degree q is free on all q-simplices except the basepoint degeneracy,
-    with induced face maps.  The degeneracies send simplices to simplices,
-    so the degenerate simplices span the degenerate subgroup.  The degree
-    cap, read when the group is built, refuses a degree before it is listed."""
-    require_valid(space)
-    caps = current_caps()
-    cache = {}
-
-    def cached_basis(q):
-        if q not in cache:
-            caps.check_degree(q, f"reduced linearization of {space.name}")
-            base = space.base_ref(q)
-            refs = [r for r in space.refs(q) if r != base]
-            cache[q] = (refs, {r: i for i, r in enumerate(refs)})
-        return cache[q]
-
-    def rank(q):
-        return len(cached_basis(q)[0])
-
-    def degenerate(q):
-        return [j for j, ref in enumerate(cached_basis(q)[0]) if ref.is_degenerate]
-
-    def face(q, i, cols):
-        refs = cached_basis(q)[0]
-        _, tgt_index = cached_basis(q - 1)
-        rows = [{} for _ in tgt_index]
-        for j, c in enumerate(cols):
-            row = tgt_index.get(space.face(refs[c], i))
-            if row is not None:
-                rows[row][j] = 1
-        return rows
-
-    return SimplicialAbelianGroup(rank, face, name=f"Zred({space.name})", degenerate_fn=degenerate)
 
 
 def moore_homology(group, s):

@@ -88,6 +88,7 @@ class SimplicialSet:
                 if cid in self.dim_of:
                     raise SchemaViolation(f"duplicate cell id {cid!r}", {"id": cid})
                 self.dim_of[cid] = q
+        self._violations = None
 
     # -- enumeration --------------------------------------------------------
 
@@ -114,9 +115,6 @@ class SimplicialSet:
                     for word in decreasing_words(q, p):
                         out.append(SimplexRef(word, cid))
         return out
-
-    def base_ref(self, q):
-        return basepoint_ref(q)
 
     # -- face and degeneracy operators --------------------------------------
 
@@ -149,7 +147,14 @@ class SimplicialSet:
     # -- validation ----------------------------------------------------------
 
     def violations(self):
-        """Names every violated structural rule or simplicial identity."""
+        """Names every violated structural rule or simplicial identity.  A
+        space is never mutated after construction, so the report is found
+        once per instance and kept."""
+        if self._violations is None:
+            self._violations = self._find_violations()
+        return list(self._violations)
+
+    def _find_violations(self):
         out = []
         if len(self.cells) == 0 or len(self.cells[0]) != 1:
             out.append(

@@ -198,7 +198,7 @@ loop_group = LoopGroup
 
 
 # ---------------------------------------------------------------------------
-# abelianized loop group (the degree-shifted reduced linearization)
+# abelianized loop group (layer 1: the degree-shifted reduced chains)
 
 
 def abelianized_matrix(group, q, i, kind):
@@ -359,9 +359,9 @@ def layer_homotopy(group, n, s):
     N_{s+1}, the normalized ranks the homology eliminates over, exceeds the
     layer-rank cap.
 
-    Lie_1 is the identity functor, so layer 1 is the abelianized loop group:
-    the reduced linearization of the space shifted through the loop-group
-    construction (the basepoint ray and s0-degeneracies die)."""
+    Lie_1 is the identity functor, so layer 1 is the abelianized loop group,
+    whose pi_s is the reduced homology H~_{s+1} of the space (Kan; E. B.
+    Curtis, Simplicial homotopy theory, 1971)."""
     caps = group.caps
     if s < 0:
         raise LoopnilError(f"degree must be >= 0, got {s}")
@@ -370,5 +370,5 @@ def layer_homotopy(group, n, s):
     lay = LayerObject(group, n)
     if lay.normalized_rank(s):
         for q in (s, s + 1):
-            caps.check_layer_rank(q, lay.normalized_rank(q), context)
+            caps.check_layer_rank(f"normalized layer rank N_{q}", lay.normalized_rank(q), context)
     return moore_homology(lay.abelian(), s)

@@ -284,6 +284,22 @@ def chain_homology(cells, faces, s):
     return cokernel_by_snf_from_coords(coords, p)
 
 
+def space_homology(space, s):
+    """Reduced homology H~_s of a loopnil space as (rank, torsion), by
+    :func:`chain_homology` on its nondegenerate cells: the basepoint and
+    every degenerate face drop out."""
+    cells = [space.n_cells(q) for q in range(max(space.top_dim, s + 1) + 1)]
+    faces = {}
+    for q in range(1, len(cells)):
+        for cid in cells[q]:
+            faces[cid] = [
+                (r.base if not r.is_degenerate and r.base != "*" else None)
+                for r in space.faces[cid]
+            ]
+    cells[0] = []
+    return chain_homology(cells, faces, s)
+
+
 def _integer_kernel(mat, ncols):
     a = [row[:] for row in mat]
     m = len(a)

@@ -14,7 +14,6 @@ from loopnil.abelian import AbelianInvariants
 from loopnil.cli import run_command
 from loopnil.hall import cross_effect_kernel, hall_basis, lie_of_map, witt_rank
 from loopnil.hall import total_hall_rank as tower_rank
-from loopnil.linearize import moore_homology, reduced_linearization
 from loopnil.nilpotent import (
     collect,
     graded_layer,
@@ -114,11 +113,10 @@ def test_accept_kan_formula():
     started = time.monotonic()
     for space in FIXTURE_SPACES:
         g = loop_group(space)
-        lin = reduced_linearization(space)
         for s in range(0, 4):
             got = layer_homotopy(g, 1, s)
-            want = moore_homology(lin, s + 1)
-            assert got == want, (space.name, s)
+            want = oracles.space_homology(space, s + 1)
+            assert (got.rank, list(got.torsion)) == want, (space.name, s)
     # the torsion case is genuinely exercised
     g = loop_group(moore_space(2, 2))
     assert layer_homotopy(g, 1, 1) == AbelianInvariants(0, (2,))

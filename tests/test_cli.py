@@ -275,10 +275,9 @@ def test_layer_rank_cap_exit(tmp_path):
     assert "N_5 = 258795" in rep["error"]["message"]
 
 
-def test_homology_degree_cap_exit():
+def test_homology_degree_cap_exit(tmp_path):
     # degree 7 is one past the default degree cap; its simplices are never
     # listed, however far past the cap the request goes
-    from loopnil.linearize import moore_homology, reduced_linearization
     from loopnil.simplicial import sphere
 
     for degree in ("7", "1000"):
@@ -288,7 +287,67 @@ def test_homology_degree_cap_exit():
         assert code == 3 and rep["error"]["kind"] == "resource-cap"
         assert f"degree {degree} exceeds cap 6" in rep["error"]["message"]
     # the highest degree within the cap still answers
-    assert moore_homology(reduced_linearization(sphere(3)), 5).is_trivial
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(sphere(3).to_json()))
+    code, rep = run_json(["homology", str(path), "--degree", "6"])
+    assert code == 0 and rep["result"] == {"rank": 0, "torsion": []}
+
+
+def test_homology_degree_zero_and_negative():
+    # a reduced space is connected: H~_0 vanishes without a loop group
+    code, rep = run_json(["homology", space("wedge2.json"), "--degree", "0"])
+    assert code == 0 and rep["result"] == {"rank": 0, "torsion": []}
+    code, rep = run_json(["homology", space("wedge2.json"), "--degree", "-1"])
+    assert code == 2 and rep["error"]["message"] == "degree must be >= 0, got -1"
+
+
+def test_loop_group_negative_degree_exit():
+    code, rep = run_json(["loop-group", space("s2.json"), "--degree", "-1"])
+    assert code == 2 and rep["error"]["message"] == "degree must be >= 0, got -1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # int() reads other scripts' digits, underscores and padding
+        ["witt", "--generators", "٣", "--class", "2"],
+        ["witt", "--generators", "3", "--class", "2_0"],
+        ["witt", "--generators", " 3", "--class", "2"],
+        ["homology", space("s2.json"), "--degree", "²"],
+        ["cross-effect", "--class", "2", "--ranks", "1_0,1,1"],
+        ["cross-effect", "--class", "2", "--ranks", "1,١,1"],
+    ],
+)
+def test_integer_arguments_are_ascii(argv):
+    code, _ = run_command(argv)
+    assert code == 2
+
+
+def test_integer_arguments_take_a_sign():
+    code, rep = run_json(["witt", "--generators", "+3", "--class", "2"])
+    assert code == 0 and rep["result"] == 3
+    code, rep = run_json(["cross-effect", "--class", "2", "--ranks", "+2,1,1"])
+    assert code == 0 and rep["result"]["ranks"] == [2, 1, 1]
+
+
+def test_hall_basis_size_cap_exit():
+    # 1,680,220 trees over all weights up to 5; refused before any is listed
+    start = time.process_time()
+    code, rep = run_json(["hall-basis", "--generators", "24", "--class", "5"])
+    assert time.process_time() - start < 1.0
+    assert code == 3 and rep["error"]["kind"] == "resource-cap"
+    assert "Hall tree count = 1680220" in rep["error"]["message"]
+    code, rep = run_json(["hall-basis", "--generators", "12", "--class", "5"])
+    assert code == 0 and rep["result"]["count"] == 49764
+
+
+def test_cross_effect_witt_rank_cap_exit():
+    # Lie_4 on Z^40 has 639,600 columns; refused before any row is built
+    start = time.process_time()
+    code, rep = run_json(["cross-effect", "--class", "4", "--ranks", "8,8,8,8,8"])
+    assert time.process_time() - start < 1.0
+    assert code == 3 and rep["error"]["kind"] == "resource-cap"
+    assert "Witt rank of Lie_4(Z^40) = 639600" in rep["error"]["message"]
 
 
 def test_class_cap_exit(monkeypatch):

@@ -47,16 +47,7 @@ def test_homology_fixtures_against_chain_oracle():
     ]
     for name, space, s, expect in cases:
         got = result_of(name)
-        cells = [space.n_cells(q) for q in range(max(space.top_dim, s + 1) + 1)]
-        faces = {}
-        for q in range(1, len(cells)):
-            for cid in space.n_cells(q):
-                faces[cid] = [
-                    (r.base if not r.is_degenerate and r.base != "*" else None)
-                    for r in space.faces[cid]
-                ]
-        cells[0] = []
-        o_rank, o_torsion = oracles.chain_homology(cells, faces, s)
+        o_rank, o_torsion = oracles.space_homology(space, s)
         assert (got["rank"], got["torsion"]) == (o_rank, o_torsion) == expect
 
 

@@ -3,45 +3,34 @@ import pytest
 from loopnil import intmat
 from loopnil.abelian import AbelianInvariants
 from loopnil.errors import InternalInvariantError
-from loopnil.linearize import SimplicialAbelianGroup, moore_homology, reduced_linearization
+from loopnil.linearize import SimplicialAbelianGroup, moore_homology
 from loopnil.simplicial import moore_space, point, sphere, wedge, wedge_of_circles
 from loopnil.tower import layer, loop_group
 
 import oracles
 
 
-def chain_data(space, top):
-    """Nondegenerate cells with degenerate faces mapped to None (oracle input)."""
-    cells = [space.n_cells(q) for q in range(top + 1)]
-    faces = {}
-    for q in range(1, top + 1):
-        for cid in space.n_cells(q):
-            faces[cid] = [
-                (r.base if not r.is_degenerate and r.base != "*" else None)
-                for r in space.faces[cid]
-            ]
-    # reduced complex: the basepoint is quotiented out entirely
-    cells[0] = []
-    return cells, faces
-
-
-def oracle_homology(space, s):
-    cells, faces = chain_data(space, max(space.top_dim, s + 1))
-    return oracles.chain_homology(cells, faces, s)
+def layer_one(space):
+    """The abelianized loop group, whose pi_s is H~_{s+1} of the space (Kan):
+    degree q is free on the (q+1)-simplices that are not s0-degenerate."""
+    return layer(loop_group(space), 1).abelian()
 
 
 def test_linearization_ranks():
-    z = reduced_linearization(point())
-    assert all(z.rank(q) == 0 for q in range(4))
-    zs1 = reduced_linearization(sphere(1))
-    assert [zs1.rank(q) for q in range(3)] == [0, 1, 2]
-    zw2 = reduced_linearization(wedge_of_circles(2))
-    assert zw2.rank(2) == 4
+    z = layer_one(point())
+    assert all(z.rank(q) == 0 for q in range(3))
+    zs1 = layer_one(sphere(1))
+    assert [zs1.rank(q) for q in range(3)] == [1, 1, 1]
+    zw2 = layer_one(wedge_of_circles(2))
+    assert zw2.rank(1) == 2
+    # S^2: e in degree 1; s1 e and s2 e in degree 2
+    zs2 = layer_one(sphere(2))
+    assert [zs2.rank(q) for q in range(3)] == [0, 1, 2]
 
 
 def test_face_matrices_satisfy_simplicial_identities():
-    a = reduced_linearization(moore_space(2, 2))
-    for q in range(2, 5):
+    a = layer_one(moore_space(2, 2))
+    for q in range(2, 4):
         for j in range(q + 1):
             for i in range(j):
                 lhs = oracles.matmul(a.face_matrix(q - 1, i), a.face_matrix(q, j), a.rank(q))
@@ -52,8 +41,8 @@ def test_face_matrices_satisfy_simplicial_identities():
 def test_moore_boundary_squares_to_zero():
     # the composite of the induced differential with itself vanishes
     for space in [sphere(2), wedge_of_circles(2), moore_space(2, 2)]:
-        a = reduced_linearization(space)
-        for q in range(2, 5):
+        a = layer_one(space)
+        for q in range(2, 4):
             d1 = a.face_matrix(q, 0)
             d2 = a.face_matrix(q - 1, 0)
             dd = oracles.matmul(d2, d1, a.rank(q))
@@ -67,10 +56,10 @@ def test_moore_boundary_squares_to_zero():
 @pytest.mark.parametrize(
     "space_fn,expected",
     [
-        (lambda: sphere(1), {0: (0, ()), 1: (1, ()), 2: (0, ()), 3: (0, ())}),
-        (lambda: sphere(2), {0: (0, ()), 1: (0, ()), 2: (1, ()), 3: (0, ()), 4: (0, ())}),
-        (lambda: sphere(3), {s: ((1, ()) if s == 3 else (0, ())) for s in range(6)}),
-        (lambda: wedge_of_circles(2), {0: (0, ()), 1: (2, ()), 2: (0, ())}),
+        (lambda: sphere(1), {1: (1, ()), 2: (0, ()), 3: (0, ())}),
+        (lambda: sphere(2), {1: (0, ()), 2: (1, ()), 3: (0, ()), 4: (0, ())}),
+        (lambda: sphere(3), {s: ((1, ()) if s == 3 else (0, ())) for s in range(1, 6)}),
+        (lambda: wedge_of_circles(2), {1: (2, ()), 2: (0, ())}),
         (lambda: moore_space(2, 2), {1: (0, ()), 2: (0, (2,)), 3: (0, ())}),
         (lambda: moore_space(3, 2), {2: (0, (3,)), 3: (0, ())}),
         (lambda: moore_space(4, 1), {1: (0, (4,)), 2: (0, ())}),
@@ -78,42 +67,34 @@ def test_moore_boundary_squares_to_zero():
     ],
 )
 def test_moore_homology_matches_reduced_homology(space_fn, expected):
+    # H~_s for s >= 1; H~_0 of a reduced, hence connected, space is the CLI's
     space = space_fn()
-    a = reduced_linearization(space)
+    a = layer_one(space)
     for s, (rank, torsion) in expected.items():
-        got = moore_homology(a, s)
+        got = moore_homology(a, s - 1)
         assert got == AbelianInvariants(rank, torsion), (space.name, s)
-        o_rank, o_torsion = oracle_homology(space, s)
+        o_rank, o_torsion = oracles.space_homology(space, s)
         assert (got.rank, list(got.torsion)) == (o_rank, o_torsion), (space.name, s)
 
 
-def test_reduced_linearization_names_the_degenerate_simplices():
-    space = moore_space(2, 2)
-    a = reduced_linearization(space)
-    for q in range(4):
-        refs = [r for r in space.refs(q) if r != space.base_ref(q)]
-        assert [refs[j] for j in a.nondegenerate(q)] == [
-            r for r in refs if not r.is_degenerate
-        ]
-
-
 def test_normalized_boundary_without_degeneracies_is_the_alternating_sum():
-    a = reduced_linearization(sphere(2))
+    a = layer_one(sphere(2))
     # no degenerate set, so every face is asked for on the whole basis
     whole = SimplicialAbelianGroup(a.rank, lambda q, i, cols: a.face_rows(q, i))
-    assert list(whole.nondegenerate(3)) == list(range(a.rank(3)))
-    faces = [a.face_matrix(3, i) for i in range(4)]
+    assert list(whole.nondegenerate(2)) == list(range(a.rank(2)))
+    faces = [a.face_matrix(2, i) for i in range(3)]
     dense = [
-        [sum((-1) ** i * face[r][j] for i, face in enumerate(faces)) for j in range(a.rank(3))]
-        for r in range(a.rank(2))
+        [sum((-1) ** i * face[r][j] for i, face in enumerate(faces)) for j in range(a.rank(2))]
+        for r in range(a.rank(1))
     ]
-    assert whole.boundary_rows(3) == [{j: x for j, x in enumerate(row) if x} for row in dense]
+    assert whole.boundary_rows(2) == [{j: x for j, x in enumerate(row) if x} for row in dense]
 
 
 @pytest.mark.parametrize(
     "group_fn, s, want",
     [
-        (lambda: reduced_linearization(moore_space(2, 2)), 2, AbelianInvariants(0, (2,))),
+        # H~_3 of M(Z/2, 3) is pi_2 of layer 1
+        (lambda: layer_one(moore_space(2, 3)), 2, AbelianInvariants(0, (2,))),
         (lambda: layer(loop_group(moore_space(2, 2)), 2).abelian(), 2, None),
     ],
 )
@@ -137,31 +118,31 @@ def test_moore_homology_evaluates_only_nondegenerate_generators(group_fn, s, wan
 
 
 def test_moore_homology_point_trivial():
-    a = reduced_linearization(point())
-    for s in range(4):
+    a = layer_one(point())
+    for s in range(3):
         assert moore_homology(a, s).is_trivial
 
 
 def test_wedge_homology_is_direct_sum():
     pieces = [sphere(1), sphere(2)]
     w = wedge(*pieces)
-    aw = reduced_linearization(w)
-    parts = [reduced_linearization(x) for x in pieces]
-    for s in range(0, 4):
+    aw = layer_one(w)
+    parts = [layer_one(x) for x in pieces]
+    for s in range(0, 3):
         whole = moore_homology(aw, s)
         ranks = sum(moore_homology(p, s).rank for p in parts)
         torsion = sum((list(moore_homology(p, s).torsion) for p in parts), [])
         assert whole.rank == ranks
         assert sorted(whole.torsion) == sorted(torsion)
     w2 = wedge(wedge_of_circles(2), sphere(1))
-    a2 = reduced_linearization(w2)
-    assert moore_homology(a2, 1).rank == 3
+    a2 = layer_one(w2)
+    assert moore_homology(a2, 0).rank == 3
 
 
 def test_moore_boundary_squared_is_zero_matrix():
     # the induced differential on Moore coordinates composes to zero
     for space in [sphere(2), moore_space(2, 2)]:
-        a = reduced_linearization(space)
+        a = layer_one(space)
 
         def moore_basis(q):
             n = a.rank(q)
@@ -189,12 +170,12 @@ def test_moore_boundary_squared_is_zero_matrix():
 
 
 def test_sphere_homology_window():
-    # rank 1 exactly at s = n, trivial elsewhere through s = n + 2
+    # H~_s: rank 1 exactly at s = n, trivial elsewhere through s = n + 2
     for n in (1, 2, 3):
-        a = reduced_linearization(sphere(n))
-        for s in range(0, n + 3):
+        a = layer_one(sphere(n))
+        for s in range(0, n + 2):
             inv = moore_homology(a, s)
-            if s == n:
+            if s == n - 1:
                 assert inv == AbelianInvariants(1, ())
             else:
                 assert inv.is_trivial, (n, s)

@@ -5,9 +5,10 @@ simplicial identities for any face assignment, so they make an unbounded
 family of valid inputs with arbitrary first-homology presentation matrices.
 """
 
+import json
 import random
 
-from loopnil.linearize import moore_homology, reduced_linearization
+from loopnil.cli import run_command
 from loopnil.simplicial import BASEPOINT, SimplicialSet, basepoint_ref, nondegenerate, validate
 from loopnil.tower import layer, layer_homotopy, loop_group
 
@@ -30,20 +31,6 @@ def random_two_complex(rng, max_edges=3, max_faces=3):
     return SimplicialSet(f"random2({rng.random():.6f})", cells, faces)
 
 
-def chain_oracle(space, s):
-    top = max(space.top_dim, s + 1)
-    cells = [space.n_cells(q) for q in range(top + 1)]
-    faces = {}
-    for q in range(1, top + 1):
-        for cid in space.n_cells(q):
-            faces[cid] = [
-                (r.base if not r.is_degenerate and r.base != BASEPOINT else None)
-                for r in space.faces[cid]
-            ]
-    cells[0] = []
-    return oracles.chain_homology(cells, faces, s)
-
-
 def test_random_spaces_validate():
     rng = random.Random(41)
     for _ in range(50):
@@ -51,15 +38,18 @@ def test_random_spaces_validate():
         assert validate(space) == [], space.to_json()
 
 
-def test_random_space_homology_matches_chain_oracle():
+def test_random_space_homology_matches_chain_oracle(tmp_path):
+    # through the CLI, so degree 0 and the layer-1 route are both covered
     rng = random.Random(42)
+    path = tmp_path / "space.json"
     for _ in range(30):
         space = random_two_complex(rng)
-        lin = reduced_linearization(space)
+        path.write_text(json.dumps(space.to_json()))
         for s in range(0, 4):
-            got = moore_homology(lin, s)
-            want = chain_oracle(space, s)
-            assert (got.rank, list(got.torsion)) == want, space.to_json()
+            code, out = run_command(["homology", str(path), "--degree", str(s)])
+            got = json.loads(out)["result"]
+            want = oracles.space_homology(space, s)
+            assert code == 0 and (got["rank"], got["torsion"]) == want, space.to_json()
 
 
 def test_random_space_loop_group_identities_and_kan_formula():
@@ -68,9 +58,10 @@ def test_random_space_loop_group_identities_and_kan_formula():
         space = random_two_complex(rng, max_edges=2, max_faces=2)
         g = loop_group(space)
         assert g.identity_violations(3) == []
-        lin = reduced_linearization(space)
         for s in range(0, 3):
-            assert layer_homotopy(g, 1, s) == moore_homology(lin, s + 1), space.to_json()
+            got = layer_homotopy(g, 1, s)
+            want = oracles.space_homology(space, s + 1)
+            assert (got.rank, list(got.torsion)) == want, space.to_json()
 
 
 def test_random_space_layer_comparison():

@@ -9,7 +9,7 @@ import oracles
 from loopnil.abelian import AbelianInvariants
 from loopnil.hall import total_hall_rank as tower_rank
 from loopnil.hall import lie_of_map, witt_rank
-from loopnil.linearize import moore_homology, reduced_linearization
+from loopnil.linearize import moore_homology
 from loopnil.nilpotent import rule_system, NilpotentElement
 from loopnil.nilq import free_nilpotent_layers
 from loopnil.simplicial import moore_space, point, sphere, wedge, wedge_of_circles
@@ -46,6 +46,23 @@ def test_loop_group_checks_the_degree_cap_once_per_degree():
         with pytest.raises(CapExceeded, match="degree 3 exceeds cap 2"):
             g.gen_count(3)
     assert checked == [2, 1, 3, 3]
+
+
+def test_loop_groups_on_one_space_validate_it_once(monkeypatch):
+    from loopnil.simplicial import SimplicialSet
+
+    found = []
+    find = SimplicialSet._find_violations
+    monkeypatch.setattr(
+        SimplicialSet, "_find_violations", lambda self: found.append(self) or find(self)
+    )
+    space = moore_space(2, 2)
+    for _ in range(3):
+        loop_group(space)
+    assert found == [space]
+    # callers get their own copy of the kept report
+    space.violations().append("noise")
+    assert space.violations() == []
 
 
 def test_degeneracy_masks_mark_the_degeneracy_images():
@@ -110,8 +127,7 @@ def test_pi0_class_one_is_first_homology():
         g = loop_group(space)
         q = pi0(tower_stage(g, 1))
         (ab,) = q.layers
-        h1 = moore_homology(reduced_linearization(space), 1)
-        assert ab == h1, space.name
+        assert (ab.rank, list(ab.torsion)) == oracles.space_homology(space, 1), space.name
 
 
 def test_stage_maps_commute_with_truncation():
@@ -289,11 +305,10 @@ def test_kan_formula_class_one():
     # pi_s of the abelianized loop group equals reduced H_{s+1} of the space
     for space in FIXTURES:
         g = loop_group(space)
-        lin = reduced_linearization(space)
         for s in range(0, 4):
             got = layer_homotopy(g, 1, s)
-            want = moore_homology(lin, s + 1)
-            assert got == want, (space.name, s)
+            want = oracles.space_homology(space, s + 1)
+            assert (got.rank, list(got.torsion)) == want, (space.name, s)
 
 
 def test_layer_homotopy_point_trivial():
