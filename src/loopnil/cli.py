@@ -8,6 +8,7 @@ simplicial-identity violations, failed checks), 3 resource cap exceeded,
 import argparse
 import functools
 import io
+import math
 import sys
 import time
 from contextlib import redirect_stdout
@@ -177,7 +178,18 @@ def cmd_hall_basis(args):
 
 
 def cmd_witt(args):
-    return witt_rank(args.generators, args.cls), None, EXIT_OK
+    k, n = args.generators, args.cls
+    # the report prints the rank in decimal, and Python refuses to print an
+    # integer longer than its int-to-str limit; k^n bounds the rank
+    limit = sys.get_int_max_str_digits()
+    if k > 1 and limit:
+        digits = math.floor(n * math.log10(k)) + 1
+        if digits > limit:
+            raise CapExceeded(
+                f"witt rank on {k} generators at class {n}: about {digits} decimal "
+                f"digits exceeds the {limit}-digit limit of integer printing"
+            )
+    return witt_rank(k, n), None, EXIT_OK
 
 
 def cmd_collect(args):
@@ -194,7 +206,7 @@ def cmd_collect(args):
 
 def cmd_cross_effect(args):
     try:
-        ranks = [ascii_int(tok) for tok in args.ranks.split(",") if tok != ""]
+        ranks = [ascii_int(tok) for tok in args.ranks.split(",")]
     except ValueError:
         raise SchemaViolation(f"--ranks wants comma-separated integers, got {args.ranks!r}")
     if len(ranks) != args.cls + 1 or any(r < 1 for r in ranks):

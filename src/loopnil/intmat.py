@@ -2,16 +2,15 @@
 
 Matrices are plain ``list[list[int]]`` with Python's arbitrary-precision
 integers; a matrix with zero rows or columns is represented with explicit
-shape arguments where needed.  Dense pivots are chosen by minimal absolute
-value because intermediate entry blowup is the known failure mode of integer
-elimination.  ``sparse_invariant_factors`` is the one route to invariant
-factors: a sparse elimination of unit pivots over ``{col: value}`` rows
-that keeps no transform.  The dense Smith form with its transforms,
-``smith_normal_form``, is kept for the tests and for the benchmark tracer,
-which wraps it by name; no module of the package calls it.
+shape arguments where needed.  Invariant factors take one route, and no
+transform is kept anywhere on it: ``sparse_invariant_factors`` eliminates
+unit pivots over ``{col: value}`` rows, then hands the residue without unit
+entries to the dense core ``smith_normal_form``.  Dense pivots are chosen by
+minimal absolute value because intermediate entry blowup is the known
+failure mode of integer elimination.
 """
 
-from .errors import InternalInvariantError
+from math import gcd
 
 
 def shape(a, ncols=None):
@@ -27,81 +26,33 @@ def zeros(m, n):
     return [[0] * n for _ in range(m)]
 
 
-def identity(n):
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = 1
-    return out
-
-
-def copy_matrix(a):
-    return [row[:] for row in a]
-
-
 def transpose(a, ncols=None):
     m, n = shape(a, ncols)
     return [[a[i][j] for i in range(m)] for j in range(n)]
 
 
-def _swap_rows(mats, i, j):
+def _swap_cols(a, i, j):
     if i != j:
-        for a in mats:
-            a[i], a[j] = a[j], a[i]
-
-
-def _swap_cols(mats, i, j):
-    if i != j:
-        for a in mats:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-
-
-def _add_row(mats, dst, src, factor):
-    for a in mats:
-        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-
-
-def _add_col(mats, dst, src, factor):
-    for a in mats:
         for row in a:
-            if row[src]:
-                row[dst] += factor * row[src]
-
-
-def _negate_row(mats, i):
-    for a in mats:
-        a[i] = [-x for x in a[i]]
+            row[i], row[j] = row[j], row[i]
 
 
 def smith_normal_form(a, ncols=None):
-    """Diagonalize ``a`` by unimodular row/column operations.
+    """Nonzero invariant factors of ``a``, in divisibility order.
 
-    Returns ``(d, u, v)`` with ``u @ a @ v == d``, ``d`` diagonal with
-    nonnegative entries in a divisibility chain and zeros last.
+    Unimodular row and column operations diagonalize a copy of ``a``; no
+    transform is kept and ``a`` is not modified.
     """
     m, n = shape(a, ncols)
-    d = copy_matrix(a)
-    u = identity(m)
-    v = identity(n)
-    _diagonalize(d, m, n, u, v)
-    return d, u, v
-
-
-def _diagonalize(d, m, n, u=None, v=None):
-    """Bring the m x n matrix ``d`` to Smith form in place.  Row operations
-    are repeated on ``u`` and column operations on ``v`` only when given, so
-    a transform costs nothing unless its caller reads it."""
-    rows = (d,) if u is None else (d, u)
-    cols = (d,) if v is None else (d, v)
-    r = min(m, n)
-    t = 0
-    while t < r:
+    d = [row[:] for row in a]
+    diag = []
+    for t in range(min(m, n)):
         pivot = _find_pivot(d, t, m, n)
         if pivot is None:
             break
         pi, pj = pivot
-        _swap_rows(rows, t, pi)
-        _swap_cols(cols, t, pj)
+        d[t], d[pi] = d[pi], d[t]
+        _swap_cols(d, t, pj)
         while True:
             # clear column t completely first: row operations against a
             # dirty column let entries in the rest of the matrix mix and
@@ -114,27 +65,38 @@ def _diagonalize(d, m, n, u=None, v=None):
                     if val:
                         q = val // d[t][t]
                         if q:
-                            _add_row(rows, i, t, -q)
+                            d[i] = [x - q * y for x, y in zip(d[i], d[t])]
                         if d[i][t]:
-                            _swap_rows(rows, t, i)
+                            d[t], d[i] = d[i], d[t]
                             swapped = True
                 if not swapped:
                     break
-            # with the column clear these column operations touch row t only
+            # a column swap below refills column t, so these column
+            # operations act on every row, and the column is cleared again
             row_swapped = False
             for j in range(t + 1, n):
                 val = d[t][j]
                 if val:
                     q = val // d[t][t]
                     if q:
-                        _add_col(cols, j, t, -q)
+                        for row in d:
+                            if row[t]:
+                                row[j] -= q * row[t]
                     if d[t][j]:
-                        _swap_cols(cols, t, j)
+                        _swap_cols(d, t, j)
                         row_swapped = True
             if not row_swapped:
                 break
-        t += 1
-    _normalize_diagonal(d, rows, cols, r)
+        diag.append(abs(d[t][t]))
+    # diag(x, y) and diag(gcd, lcm) are equivalent over the integers; after
+    # the pass over j, diag[i] divides every later entry
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            x, y = diag[i], diag[j]
+            if y % x:
+                g = gcd(x, y)
+                diag[i], diag[j] = g, x // g * y
+    return diag
 
 
 def _find_pivot(d, t, m, n):
@@ -152,49 +114,6 @@ def _find_pivot(d, t, m, n):
                     if a == 1:
                         return where
     return where
-
-
-def _normalize_diagonal(d, rows, cols, r):
-    for i in range(r):
-        if d[i][i] < 0:
-            _negate_row(rows, i)
-    # zeros are already last: a pivot step never touches earlier diagonal
-    # entries; repair divisibility pairwise
-    while True:
-        fixed = True
-        for i in range(r - 1):
-            a, b = d[i][i], d[i + 1][i + 1]
-            if a and b and b % a:
-                _pair_reduce(d, rows, cols, i, i + 1)
-                fixed = False
-        if fixed:
-            break
-
-
-def _pair_reduce(d, rows, cols, i, j):
-    # turn diag(a, b) with a not dividing b into diag(gcd, +-lcm)
-    _add_row(rows, i, j, 1)
-    # row i is now (a, b) on columns (i, j); euclid on those two columns
-    while d[i][j]:
-        q = d[i][i] // d[i][j]
-        _add_col(cols, i, j, -q)
-        _swap_cols(cols, i, j)
-    if d[j][i]:
-        q = d[j][i] // d[i][i]
-        _add_row(rows, j, i, -q)
-        if d[j][i]:
-            raise InternalInvariantError("pair reduction failed to clear row")
-    if d[i][i] < 0:
-        _negate_row(rows, i)
-    if d[j][j] < 0:
-        _negate_row(rows, j)
-
-
-def diagonal(d, m=None, n=None):
-    if m is None:
-        m, n = shape(d)
-    r = min(m, n)
-    return [d[i][i] for i in range(r)]
 
 
 def dense_rows(rows, ncols):
@@ -218,7 +137,7 @@ def sparse_invariant_factors(rows):
     operations, and its row and column then split off a factor 1.  Columns
     wait in buckets by their exact entry count; one without a unit entry
     leaves the buckets until an entry of it changes.  The residue without
-    unit entries is diagonalized densely.
+    unit entries goes to :func:`smith_normal_form`.
     """
     rows = [dict(row) for row in rows if row]
     col_rows = {}
@@ -283,6 +202,4 @@ def sparse_invariant_factors(rows):
     residue = [row for row in rows if row]
     cols = sorted({j for row in residue for j in row})
     dense = [[row.get(j, 0) for j in cols] for row in residue]
-    m, n = len(dense), len(cols)
-    _diagonalize(dense, m, n)
-    return [1] * units + [x for x in diagonal(dense, m, n) if x]
+    return [1] * units + smith_normal_form(dense, ncols=len(cols))

@@ -323,6 +323,12 @@ def test_integer_arguments_are_ascii(argv):
     assert code == 2
 
 
+@pytest.mark.parametrize("ranks", [",1,,1,1,", "1,,1,1", "1,1,1,", ",1,1,1"])
+def test_cross_effect_rejects_empty_ranks(ranks):
+    code, rep = run_json(["cross-effect", "--class", "2", "--ranks", ranks])
+    assert code == 2 and rep["error"]["kind"] == "schema"
+
+
 def test_integer_arguments_take_a_sign():
     code, rep = run_json(["witt", "--generators", "+3", "--class", "2"])
     assert code == 0 and rep["result"] == 3
@@ -339,6 +345,22 @@ def test_hall_basis_size_cap_exit():
     assert "Hall tree count = 1680220" in rep["error"]["message"]
     code, rep = run_json(["hall-basis", "--generators", "12", "--class", "5"])
     assert code == 0 and rep["result"]["count"] == 49764
+
+
+def test_witt_report_digit_refusal():
+    # 2^20000 / 20000 has about 6,000 digits, past the 4,300 that Python
+    # prints; refused before the rank is computed
+    for k, n, digits in ((2, 20000, 6021), (100000000, 100000, 800001)):
+        start = time.process_time()
+        code, rep = run_json(["witt", "--generators", str(k), "--class", str(n)])
+        assert time.process_time() - start < 1.0
+        assert code == 3 and rep["error"]["kind"] == "resource-cap"
+        assert f"about {digits} decimal digits" in rep["error"]["message"]
+    # 1,905 digits still answer, and k <= 1 never needs the estimate
+    code, rep = run_json(["witt", "--generators", "3", "--class", "4000"])
+    assert code == 0 and len(rep["result"]) == 1905
+    code, rep = run_json(["witt", "--generators", "1", "--class", "20000"])
+    assert code == 0 and rep["result"] == 0
 
 
 def test_cross_effect_witt_rank_cap_exit():

@@ -1,6 +1,5 @@
 import pytest
 
-from loopnil import intmat
 from loopnil.abelian import AbelianInvariants
 from loopnil.errors import InternalInvariantError
 from loopnil.linearize import SimplicialAbelianGroup, moore_homology
@@ -147,7 +146,7 @@ def test_moore_boundary_squared_is_zero_matrix():
         def moore_basis(q):
             n = a.rank(q)
             if q <= 0 or n == 0:
-                return intmat.identity(n), n
+                return [[int(i == j) for j in range(n)] for i in range(n)], n
             stacked = [row for i in range(1, q + 1) for row in a.face_matrix(q, i)]
             basis = oracles._integer_kernel(stacked, n)
             return basis, len(basis[0])
