@@ -14,10 +14,8 @@ from .errors import (
     SchemaViolation,
 )
 from .hall import (
-    LieElement,
     cross_effect_kernel,
     hall_basis,
-    lie_normalize,
     lie_of_map,
     tree_str,
     witt_rank,
@@ -46,7 +44,6 @@ from .simplicial import (
     moore_space,
     point,
     sphere,
-    standard_space,
     validate,
     wedge,
     wedge_of_circles,

@@ -34,12 +34,3 @@ class AbelianInvariants:
 
     def to_json(self):
         return {"rank": self.rank, "torsion": list(self.torsion)}
-
-    def __str__(self):
-        parts = []
-        if self.rank == 1:
-            parts.append("Z")
-        elif self.rank > 1:
-            parts.append(f"Z^{self.rank}")
-        parts.extend(f"Z/{t}" for t in self.torsion)
-        return " + ".join(parts) if parts else "0"

@@ -6,6 +6,7 @@ expensive entry point checks a cap before starting and fails loudly with
 """
 
 import os
+import sys
 from dataclasses import dataclass
 
 from .errors import CapExceeded
@@ -78,3 +79,15 @@ def current_caps() -> Caps:
         max_class=_env_int(ENV_MAX_CLASS, DEFAULT_MAX_CLASS),
         max_layer_rank=_env_int(ENV_MAX_LAYER_RANK, DEFAULT_MAX_LAYER_RANK),
     )
+
+
+def decimal(value):
+    """``str`` of an integer, refused as a cap past Python's int-to-str limit."""
+    try:
+        return str(value)
+    except ValueError:
+        digits = (abs(value).bit_length() - 1) * 30103 // 100000 + 1  # log10(2) ~ 0.30103
+        raise CapExceeded(
+            f"an integer of about {digits} decimal digits exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit limit of integer printing"
+        ) from None

@@ -25,7 +25,7 @@ from .errors import (
     MalformedJson,
     SchemaViolation,
 )
-from .hall import cross_effect_kernel, hall_basis, total_hall_rank, tree_str, witt_rank
+from .hall import capped_hall_rank, cross_effect_kernel, hall_basis, tree_str, witt_rank
 from .jsonio import canonical_dumps, digest_bytes, load_json_bytes, make_report, parse_int
 from .nilq import nilpotent_quotient
 from .nilpotent import collect
@@ -135,10 +135,6 @@ def parse_presentation(data, what="presentation"):
 # command handlers; each returns the result payload
 
 
-def _invariants_json(inv):
-    return inv.to_json()
-
-
 def cmd_validate(args):
     with open(args.path, "rb") as fh:
         data = fh.read()
@@ -157,15 +153,18 @@ def cmd_homology(args):
     # H~_s is pi_{s-1} of layer 1, the abelianized loop group (Kan); a
     # reduced space has one vertex, so H~_0 = 0
     inv = layer_homotopy(loop_group(space), 1, s - 1) if s else AbelianInvariants(0)
-    return _invariants_json(inv), digest_bytes(data), EXIT_OK
+    return inv.to_json(), digest_bytes(data), EXIT_OK
 
 
 def cmd_hall_basis(args):
     # every weight up to the class is enumerated and cached on the way
     k, n = args.generators, args.cls
     if k >= 0 and n >= 1:
-        current_caps().check_layer_rank(
-            "Hall tree count", total_hall_rank(k, n), f"hall basis on {k} generators to class {n}"
+        caps = current_caps()
+        count, w = capped_hall_rank(k, n, caps.max_layer_rank)
+        early = f" of weights 1..{w} of {n} only (summing stopped early)" if w < n else ""
+        caps.check_layer_rank(
+            f"Hall tree count{early}", count, f"hall basis on {k} generators to class {n}"
         )
     trees = hall_basis(k, n)
     payload = {
@@ -214,7 +213,7 @@ def cmd_cross_effect(args):
             f"--ranks wants {args.cls + 1} positive integers for class {args.cls}"
         )
     inv = cross_effect_kernel(args.cls, ranks)
-    payload = {"class": args.cls, "ranks": ranks, "kernel": _invariants_json(inv)}
+    payload = {"class": args.cls, "ranks": ranks, "kernel": inv.to_json()}
     return payload, None, EXIT_OK
 
 
@@ -251,8 +250,6 @@ def cmd_loop_group(args):
 
 
 def cmd_tower(args):
-    if args.sub != "pi0":
-        raise SchemaViolation(f"unknown tower subcommand {args.sub!r}")
     space, data = read_space(args.path)
     stage = tower_stage(loop_group(space), args.cls)
     q = pi0(stage)
@@ -263,7 +260,7 @@ def cmd_layer_homotopy(args):
     space, data = read_space(args.path)
     inv = layer_homotopy(loop_group(space), args.cls, args.degree)
     payload = {"class": args.cls, "degree": args.degree}
-    payload.update(_invariants_json(inv))
+    payload.update(inv.to_json())
     return payload, digest_bytes(data), EXIT_OK
 
 
@@ -417,6 +414,14 @@ def _run(argv):
     started = time.monotonic()
     try:
         result, input_digest, code = args.handler(args)
+        inputs = {"args": _echo_args(args)}
+        if input_digest is not None:
+            inputs["sha256"] = input_digest
+        report = make_report(verb, inputs, result)
+        if args.timing:
+            report["elapsed_ms"] = int((time.monotonic() - started) * 1000)
+        # serialized inside the try, so an integer too long to print is refused
+        sys.stdout.write(canonical_dumps(report))
     except InputError as exc:
         _error_report(
             verb,
@@ -438,13 +443,6 @@ def _run(argv):
     except LoopnilError as exc:
         _error_report(verb, 2, "schema", str(exc))
         return EXIT_VALIDATION
-    inputs = {"args": _echo_args(args)}
-    if input_digest is not None:
-        inputs["sha256"] = input_digest
-    report = make_report(verb, inputs, result)
-    if args.timing:
-        report["elapsed_ms"] = int((time.monotonic() - started) * 1000)
-    sys.stdout.write(canonical_dumps(report))
     return code
 
 

@@ -6,7 +6,7 @@ index order.  A bracket ``[u, v]`` belongs to the Hall family when ``u > v``
 and, if ``u = [a, b]``, additionally ``b <= v``.
 """
 
-from dataclasses import dataclass
+import math
 from functools import lru_cache
 
 from . import intmat
@@ -35,21 +35,6 @@ def tree_str(t):
     return f"[{tree_str(t[0])},{tree_str(t[1])}]"
 
 
-def tree_leaves(t, out=None):
-    if out is None:
-        out = []
-    if isinstance(t, int):
-        out.append(t)
-    else:
-        tree_leaves(t[0], out)
-        tree_leaves(t[1], out)
-    return out
-
-
-def max_generator(t):
-    return max(tree_leaves(t))
-
-
 @lru_cache(maxsize=None)
 def hall_basis(k, n):
     """The weight-n Hall trees over k generators, canonically ordered."""
@@ -57,6 +42,8 @@ def hall_basis(k, n):
         raise LoopnilError(f"hall_basis needs k >= 0 and n >= 1, got ({k}, {n})")
     if n == 1:
         return tuple(range(1, k + 1))
+    if k <= 1:  # a bracket needs two distinct generators
+        return ()
     # each lower-weight tree's key once; every bracket built here has weight
     # n, so its tree_key order is the order of its two factors' keys
     keys = {t: tree_key(t) for w in range(1, n) for t in hall_basis(k, w)}
@@ -91,13 +78,17 @@ def _mobius(d):
 @lru_cache(maxsize=None)
 def witt_rank(k, n):
     """Rank of the weight-n part of the free Lie ring on k generators:
-    (1/n) * sum over d | n of mu(d) * k^(n/d)."""
+    (1/n) * sum over d | n of mu(d) * k^(n/d), the divisors in pairs (d, n/d)."""
     if k < 0 or n < 1:
         raise LoopnilError(f"witt_rank needs k >= 0 and n >= 1, got ({k}, {n})")
+    if k <= 1:
+        return k if n == 1 else 0
     total = 0
-    for d in range(1, n + 1):
+    for d in range(1, math.isqrt(n) + 1):
         if n % d == 0:
             total += _mobius(d) * k ** (n // d)
+            if d * d != n:
+                total += _mobius(n // d) * k**d
     if total % n:
         raise InternalInvariantError("Witt sum not divisible by n")
     return total // n
@@ -107,7 +98,20 @@ def witt_rank(k, n):
 def total_hall_rank(k, n):
     """Total Hall rank of the free class-n group on k generators: the
     Witt ranks of weights 1..n summed."""
-    return sum(witt_rank(k, w) for w in range(1, n + 1))
+    return capped_hall_rank(k, n, math.inf)[0]
+
+
+def capped_hall_rank(k, n, cap):
+    """``(rank, w)``: the Witt ranks of weights 1..w summed, w the first weight
+    where the sum passes ``cap``, or n; about log_k(cap) weights for k >= 2."""
+    if 0 <= k <= 1 <= n:
+        return k, n
+    rank = 0
+    for w in range(1, n + 1):
+        rank += witt_rank(k, w)
+        if rank > cap:
+            return rank, w
+    return rank, n
 
 
 # ---------------------------------------------------------------------------
@@ -145,91 +149,6 @@ def _bracket_combo(left, right):
             for t, c in _reduce_pair(t1, t2):
                 acc[t] = acc.get(t, 0) + c1 * c2 * c
     return tuple((t, c) for t, c in acc.items() if c)
-
-
-@dataclass(frozen=True)
-class LieElement:
-    """Homogeneous integer combination of weight-n Hall trees over k
-    generators."""
-
-    k: int
-    weight: int
-    coeffs: tuple  # sorted tuple of (tree, coefficient)
-
-    def __post_init__(self):
-        basis = set(hall_basis(self.k, self.weight))
-        for t, c in self.coeffs:
-            if t not in basis:
-                raise InternalInvariantError(f"{tree_str(t)} is not a Hall tree here")
-            if c == 0:
-                raise InternalInvariantError("zero coefficient stored")
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def vector(self):
-        basis = hall_basis(self.k, self.weight)
-        index = {t: i for i, t in enumerate(basis)}
-        out = [0] * len(basis)
-        for t, c in self.coeffs:
-            out[index[t]] = c
-        return out
-
-    def __add__(self, other):
-        if (self.k, self.weight) != (other.k, other.weight):
-            raise LoopnilError("mismatched Lie elements")
-        acc = dict(self.coeffs)
-        for t, c in other.coeffs:
-            acc[t] = acc.get(t, 0) + c
-        return _element(self.k, self.weight, acc)
-
-    def __neg__(self):
-        return _element(self.k, self.weight, {t: -c for t, c in self.coeffs})
-
-    def scale(self, m):
-        return _element(self.k, self.weight, {t: m * c for t, c in self.coeffs})
-
-    def bracket(self, other):
-        if self.k != other.k:
-            raise LoopnilError("mismatched generator counts")
-        acc = dict(_bracket_combo(self.coeffs, other.coeffs))
-        return _element(self.k, self.weight + other.weight, acc)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{c}*{tree_str(t)}" for t, c in self.coeffs)
-
-
-def _element(k, weight, acc):
-    coeffs = tuple(
-        sorted(((t, c) for t, c in acc.items() if c), key=lambda x: tree_key(x[0]))
-    )
-    return LieElement(k, weight, coeffs)
-
-
-def lie_normalize(terms, k, n):
-    """Rewrite a formal bracket expression into the Hall basis.
-
-    ``terms`` is an iterable of (tree, coefficient) pairs where trees are
-    arbitrary bracketings (not necessarily Hall); the expression must be
-    homogeneous of weight n over generators 1..k.
-    """
-    acc = {}
-    for tree, coeff in terms:
-        if coeff == 0:
-            continue
-        if tree_weight(tree) != n:
-            raise LoopnilError(
-                f"non-homogeneous input: {tree_str(tree)} has weight "
-                f"{tree_weight(tree)}, expected {n}"
-            )
-        if max_generator(tree) > k:
-            raise LoopnilError(f"generator out of range in {tree_str(tree)}")
-        for t, c in normalize_tree(tree):
-            acc[t] = acc.get(t, 0) + coeff * c
-    return _element(k, n, acc)
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,7 @@ identical inputs is byte-identical.
 import hashlib
 import json
 
+from .caps import decimal
 from .errors import MalformedJson
 
 SCHEMA_TAG = "loopnil/1"
@@ -19,7 +20,7 @@ def _encode(value):
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
     if isinstance(value, int):
-        return str(value) if abs(value) >= _BIG else value
+        return decimal(value) if abs(value) >= _BIG else value
     if isinstance(value, float):
         raise MalformedJson("floating point values are not allowed in reports")
     if isinstance(value, dict):

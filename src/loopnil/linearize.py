@@ -32,7 +32,6 @@ class SimplicialAbelianGroup:
         self._degenerate_fn = degenerate_fn or (lambda q: ())
         self.name = name
         self._ranks = {}
-        self._faces = {}
         self._nondegenerate = {}
 
     def rank(self, q):
@@ -41,16 +40,6 @@ class SimplicialAbelianGroup:
         if q not in self._ranks:
             self._ranks[q] = self._rank_fn(q)
         return self._ranks[q]
-
-    def face_rows(self, q, i):
-        """d_i from degree q to degree q-1 as ``{col: value}`` rows on the
-        whole basis."""
-        if not (q >= 1 and 0 <= i <= q):
-            raise LoopnilError(f"face d_{i} undefined in degree {q}")
-        rows = self._faces.get((q, i))
-        if rows is None:
-            rows = self._faces[(q, i)] = self._face(q, i, range(self.rank(q)))
-        return rows
 
     def _face(self, q, i, cols):
         rows = self._face_fn(q, i, cols)
@@ -69,7 +58,9 @@ class SimplicialAbelianGroup:
     def face_matrix(self, q, i):
         """Dense matrix of d_i from degree q to degree q-1 (rows index the
         target)."""
-        return intmat.dense_rows(self.face_rows(q, i), self.rank(q))
+        if not (q >= 1 and 0 <= i <= q):
+            raise LoopnilError(f"face d_{i} undefined in degree {q}")
+        return intmat.dense_rows(self._face(q, i, range(self.rank(q))), self.rank(q))
 
     def nondegenerate(self, q):
         """Ascending indices of the degree-q basis elements outside the

@@ -37,9 +37,9 @@ import threading
 from dataclasses import dataclass
 
 from . import intmat
-from .caps import current_caps
+from .caps import current_caps, decimal
 from .errors import InternalInvariantError, LoopnilError
-from .hall import hall_basis, normalize_tree, total_hall_rank, tree_str, tree_weight, witt_rank
+from .hall import capped_hall_rank, hall_basis, normalize_tree, total_hall_rank, tree_str, witt_rank
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +176,7 @@ class RuleSystem:
             lo = len(self.letters)
             self.letters.extend(hall_basis(k, w))
             self.weight_range[w] = range(lo, len(self.letters))
-        self.weights = [tree_weight(t) for t in self.letters]
+        self.weights = [w for w, ids in self.weight_range.items() for _ in ids]
         self.index = {t: i for i, t in enumerate(self.letters)}
         # end of each letter's movers, the later letters it may not commute
         # with (none when 2 p > n)
@@ -260,13 +260,6 @@ class RuleSystem:
         if not ring.is_one(g):
             raise InternalInvariantError("extraction terminated off the identity")
         return vec
-
-    def vector_to_poly(self, vec):
-        out = dict(self.ring.one)
-        for i, e in enumerate(vec):
-            if e:
-                out = self.ring.mul(out, self.ring.power(self.letter_poly(i), e))
-        return out
 
     def block_tail(self, hi, a, lo, b, cb=None):
         """Normal-form word of [hi^a, lo^b] for letters hi > lo, a list of
@@ -401,16 +394,18 @@ def rule_system(k, n, caps=None):
             if sys is None:
                 if k < 0 or n < 1:
                     raise LoopnilError(f"need k >= 0 and n >= 1, got ({k}, {n})")
-                _check_rank(caps or current_caps(), k, n, total_hall_rank(k, n))
+                _check_rank(caps or current_caps(), k, n)
                 sys = RuleSystem(k, n)
                 _systems[key] = sys
-    elif caps is not None:
-        _check_rank(caps, k, n, sys.rank)
+    elif caps is not None and sys.rank > caps.max_hall_rank:
+        _check_rank(caps, k, n)
     return sys
 
 
-def _check_rank(caps, k, n, rank):
-    caps.check_hall_rank(rank, f"free class-{n} group on {k} generators")
+def _check_rank(caps, k, n):
+    rank, w = capped_hall_rank(k, n, caps.max_hall_rank)
+    early = f" (weights 1..{w} of {n} only: summing stopped early)" if w < n else ""
+    caps.check_hall_rank(rank, f"free class-{n} group on {k} generators{early}")
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +485,7 @@ class NilpotentElement:
 
     def __str__(self):
         sys = rule_system(self.k, self.n)
-        parts = [f"{sys.letter_str(i)}^{e}" for i, e in enumerate(self.exponents) if e]
+        parts = [f"{sys.letter_str(i)}^{decimal(e)}" for i, e in self.word()]
         return " ".join(parts) if parts else "1"
 
 

@@ -29,10 +29,6 @@ class SimplexRef:
         return f"{ops} {self.base}"
 
     @property
-    def is_degenerate(self):
-        return bool(self.degeneracies)
-
-    @property
     def is_s0_degenerate(self):
         # the word is strictly decreasing, so s0 occurs iff the last entry is 0
         return bool(self.degeneracies) and self.degeneracies[-1] == 0
@@ -412,20 +408,6 @@ def moore_space(m, n):
     # final relation kills the chain head: a_last = 0
     faces[b_ids[-1]] = relation_faces({plus_slots[0]: a_ids[-1]})
     return SimplicialSet(name, cells, faces)
-
-
-def standard_space(kind, *params):
-    """Dispatch constructor: sphere(n), wedge_of_circles(k), moore(m, n)."""
-    if kind == "sphere":
-        (n,) = params
-        return sphere(n)
-    if kind == "wedge_of_circles":
-        (k,) = params
-        return wedge_of_circles(k)
-    if kind == "moore":
-        m, n = params
-        return moore_space(m, n)
-    raise LoopnilError(f"unknown standard space {kind!r}")
 
 
 def wedge(x, y):

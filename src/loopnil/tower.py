@@ -12,7 +12,7 @@ import math
 from . import intmat
 from .caps import current_caps
 from .errors import InternalInvariantError, LoopnilError
-from .hall import hall_basis, lie_of_map, lie_rows, subalphabet_trees, total_hall_rank, witt_rank
+from .hall import hall_basis, lie_of_map, lie_rows, subalphabet_trees, witt_rank
 from .linearize import SimplicialAbelianGroup, moore_homology
 from .nilpotent import (
     NilpotentElement,
@@ -122,76 +122,6 @@ class LoopGroup:
         and a simplex lies in the image of s_j exactly when j occurs in its
         Eilenberg-Zilber degeneracy word."""
         return [sum(1 << (j - 1) for j in ref.degeneracies) for ref in self.generators(q)]
-
-    # -- identities ----------------------------------------------------------
-
-    def _apply_word(self, word_of, w):
-        out = []
-        for g, e in w:
-            img = word_of(g)
-            if e < 0:
-                img = invert_free_word(img)
-                e = -e
-            for _ in range(e):
-                out.extend(img)
-        return tuple(reduce_free_word(out))
-
-    def identity_violations(self, max_degree):
-        """Simplicial-group identities on generators up to the given degree."""
-        bad = []
-
-        def face_map(q, i):
-            return lambda g: self.face_word(q, i, g)
-
-        def degen_map(q, i):
-            return lambda g: self.degeneracy_word(q, i, g)
-
-        for q in range(0, max_degree + 1):
-            for g in range(self.gen_count(q)):
-                gen_word = ((g, 1),)
-                # d_i d_j = d_{j-1} d_i for i < j (degree >= 2)
-                if q >= 2:
-                    for j in range(q + 1):
-                        for i in range(j):
-                            lhs = self._apply_word(
-                                face_map(q - 1, i), self.face_word(q, j, g)
-                            )
-                            rhs = self._apply_word(
-                                face_map(q - 1, j - 1), self.face_word(q, i, g)
-                            )
-                            if lhs != rhs:
-                                bad.append((q, g, f"d{i} d{j}"))
-                # s_i s_j = s_{j+1} s_i for i <= j
-                for j in range(q + 1):
-                    for i in range(j + 1):
-                        lhs = self._apply_word(
-                            degen_map(q + 1, j + 1), self.degeneracy_word(q, i, g)
-                        )
-                        rhs = self._apply_word(
-                            degen_map(q + 1, i), self.degeneracy_word(q, j, g)
-                        )
-                        if lhs != rhs:
-                            bad.append((q, g, f"s{i} s{j}"))
-                # d_i s_j relations
-                if q >= 0:
-                    for j in range(q + 1):
-                        for i in range(q + 2):
-                            lhs = self._apply_word(
-                                face_map(q + 1, i), self.degeneracy_word(q, j, g)
-                            )
-                            if i == j or i == j + 1:
-                                rhs = gen_word
-                            elif i < j:
-                                rhs = self._apply_word(
-                                    degen_map(q - 1, j - 1), self.face_word(q, i, g)
-                                ) if q >= 1 else None
-                            else:
-                                rhs = self._apply_word(
-                                    degen_map(q - 1, j), self.face_word(q, i - 1, g)
-                                ) if q >= 1 else None
-                            if rhs is not None and lhs != rhs:
-                                bad.append((q, g, f"d{i} s{j}"))
-        return bad
 
 
 loop_group = LoopGroup
@@ -317,7 +247,7 @@ class LayerObject:
         the Hall-rank cap."""
         if max_degree >= 1:
             k = max(self.group.gen_count(q) for q in range(max_degree + 1))
-            _check_rank(self.group.caps, k, self.n, total_hall_rank(k, self.n))
+            _check_rank(self.group.caps, k, self.n)
         stage = SimplicialGroupTower(self.group, self.n)
         maps = [(q, i, "face") for q in range(1, max_degree + 1) for i in range(q + 1)]
         maps += [(q, i, "degeneracy") for q in range(max_degree) for i in range(q + 1)]

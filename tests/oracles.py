@@ -37,6 +37,59 @@ def words_equal(w1, w2):
     return reduce_word(list(w1)) == reduce_word(list(w2))
 
 
+def _apply_word(word_of, word):
+    """Image of a free word under the endomorphism sending generator g to
+    the word ``word_of(g)``, freely reduced."""
+    out = []
+    for g, e in word:
+        img = word_of(g) if e > 0 else invert_word(word_of(g))
+        out.extend(list(img) * abs(e))
+    return reduce_word(out)
+
+
+def loop_group_identity_violations(group, max_degree):
+    """``(degree, generator, identity)`` for every simplicial-group identity
+    that the face and degeneracy words of a loop group break on a generator
+    of degree at most ``max_degree``: d_i d_j = d_{j-1} d_i (i < j),
+    s_i s_j = s_{j+1} s_i (i <= j), d_i s_j = s_{j-1} d_i (i < j),
+    d_j s_j = d_{j+1} s_j = id and d_i s_j = s_j d_{i-1} (i > j + 1)."""
+
+    def face(q, i):
+        return lambda g: group.face_word(q, i, g)
+
+    def degen(q, i):
+        return lambda g: group.degeneracy_word(q, i, g)
+
+    bad = []
+    for q in range(max_degree + 1):
+        for g in range(group.gen_count(q)):
+            for j in range(q + 1):
+                # faces out of degree q - 1 exist from q = 2 on
+                for i in range(j if q >= 2 else 0):
+                    lhs = _apply_word(face(q - 1, i), group.face_word(q, j, g))
+                    rhs = _apply_word(face(q - 1, j - 1), group.face_word(q, i, g))
+                    if lhs != rhs:
+                        bad.append((q, g, f"d{i} d{j}"))
+                for i in range(j + 1):
+                    lhs = _apply_word(degen(q + 1, j + 1), group.degeneracy_word(q, i, g))
+                    rhs = _apply_word(degen(q + 1, i), group.degeneracy_word(q, j, g))
+                    if lhs != rhs:
+                        bad.append((q, g, f"s{i} s{j}"))
+                for i in range(q + 2):
+                    lhs = _apply_word(face(q + 1, i), group.degeneracy_word(q, j, g))
+                    if i in (j, j + 1):
+                        rhs = [(g, 1)]
+                    elif q == 0:  # no face out of degree 0
+                        continue
+                    elif i < j:
+                        rhs = _apply_word(degen(q - 1, j - 1), group.face_word(q, i, g))
+                    else:
+                        rhs = _apply_word(degen(q - 1, j), group.face_word(q, i - 1, g))
+                    if lhs != rhs:
+                        bad.append((q, g, f"d{i} s{j}"))
+    return bad
+
+
 # ---------------------------------------------------------------------------
 # Witt ranks by brute-force necklace counting (no Moebius function)
 
@@ -293,7 +346,7 @@ def space_homology(space, s):
     for q in range(1, len(cells)):
         for cid in cells[q]:
             faces[cid] = [
-                (r.base if not r.is_degenerate and r.base != "*" else None)
+                (r.base if not r.degeneracies and r.base != "*" else None)
                 for r in space.faces[cid]
             ]
     cells[0] = []
@@ -468,6 +521,22 @@ def moore_homology_oracle(rank_fn, face_fn, s):
     c_hi = coords(k_hi, n_hi, k_s, n_s, s + 1)
     inside = _solve_in_basis(cycles, c_hi, n_s, n_cyc, n_hi)
     return cokernel_by_snf_from_coords(inside, n_cyc)
+
+
+# ---------------------------------------------------------------------------
+# truncated-ring image of a normal form
+
+
+def vector_to_poly(sys, vec):
+    """The ordered product of the letter powers that a normal-form exponent
+    vector names, in the truncated ring of the collection engine ``sys``:
+    the inverse of its ``extract``."""
+    ring = sys.ring
+    out = dict(ring.one)
+    for i, e in enumerate(vec):
+        if e:
+            out = ring.mul(out, ring.power(sys.letter_poly(i), e))
+    return out
 
 
 # ---------------------------------------------------------------------------

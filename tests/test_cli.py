@@ -372,6 +372,51 @@ def test_cross_effect_witt_rank_cap_exit():
     assert "Witt rank of Lie_4(Z^40) = 639600" in rep["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # one generator has no brackets, and no Witt rank needs a divisor
+        (["hall-basis", "--generators", "1", "--class", "100000000"], 0),
+        (["hall-basis", "--generators", "0", "--class", "100000000"], 0),
+        (["witt", "--generators", "1", "--class", "100000000000"], 0),
+        # two generators pass the cap within a few weights of any class
+        (["collect", "--generators", "2", "--class", "100000", "--word", "a"], 3),
+        (["hall-basis", "--generators", "2", "--class", "100000"], 3),
+        (["nilq", presentation("commuting2.json"), "--class", "100000"], 3),
+    ],
+)
+def test_huge_class_answers_or_is_refused_at_once(argv, want):
+    start = time.process_time()
+    code, rep = run_json(argv)
+    assert time.process_time() - start < 1.0
+    assert code == want
+    if want == 0:
+        result = rep["result"]
+        assert (result if argv[0] == "witt" else result["count"]) == 0
+    else:
+        assert rep["error"]["kind"] == "resource-cap"
+        assert "summing stopped early" in rep["error"]["message"]
+
+
+def test_integers_too_long_to_print_are_refused(tmp_path):
+    # A^2 has about 6,000 digits, past the 4,300 that Python prints: the
+    # collect report's exponent and a nilq relation's exponent
+    a = "9" * 3000
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"generators": ["a", "b"], "relators": [f"b^{a} a^{a}"]}))
+    limit = sys.get_int_max_str_digits()
+    for argv in (
+        ["collect", "--generators", "2", "--class", "2", "--word", f"b^{a} a^{a}"],
+        ["nilq", str(path), "--class", "2"],
+    ):
+        code, rep = run_json(argv)
+        assert code == 3 and rep["error"]["kind"] == "resource-cap", argv
+        assert f"about 6000 decimal digits exceeds the {limit}-digit limit" in rep["error"]["message"]
+    # A itself still prints
+    code, rep = run_json(["collect", "--generators", "2", "--class", "2", "--word", f"a^{a}"])
+    assert code == 0 and rep["result"]["normal_form"] == [{"letter": "x1", "exponent": a}]
+
+
 def test_class_cap_exit(monkeypatch):
     monkeypatch.setenv("LOOPNIL_MAX_CLASS", "2")
     code, rep = run_json(["tower", "pi0", space("wedge2.json"), "--class", "3"])

@@ -79,7 +79,7 @@ def test_moore_homology_matches_reduced_homology(space_fn, expected):
 def test_normalized_boundary_without_degeneracies_is_the_alternating_sum():
     a = layer_one(sphere(2))
     # no degenerate set, so every face is asked for on the whole basis
-    whole = SimplicialAbelianGroup(a.rank, lambda q, i, cols: a.face_rows(q, i))
+    whole = SimplicialAbelianGroup(a.rank, a._face_fn)
     assert list(whole.nondegenerate(2)) == list(range(a.rank(2)))
     faces = [a.face_matrix(2, i) for i in range(3)]
     dense = [
@@ -209,7 +209,7 @@ def test_face_rows_are_shape_checked(rows):
     # rows of nonzero entries in columns 0 and 1
     g = SimplicialAbelianGroup(lambda q: 2, lambda q, i, cols: rows, name="bad")
     with pytest.raises(InternalInvariantError, match="expected 2 rows"):
-        g.face_rows(1, 0)
+        g.face_matrix(1, 0)
 
 
 LAYER_SPACES = [

@@ -14,7 +14,6 @@ from loopnil.simplicial import (
     nondegenerate,
     point,
     sphere,
-    standard_space,
     validate,
     wedge,
     wedge_of_circles,
@@ -44,22 +43,20 @@ def test_empty_wedge_is_point():
     assert validate(w0) == []
 
 
-def test_standard_space_dispatch_and_validation():
+def test_standard_spaces_validate():
     for space in [
-        standard_space("sphere", 1),
-        standard_space("sphere", 3),
-        standard_space("wedge_of_circles", 2),
-        standard_space("moore", 2, 2),
-        standard_space("moore", 3, 2),
-        standard_space("moore", 5, 1),
+        sphere(1),
+        sphere(3),
+        wedge_of_circles(2),
+        moore_space(2, 2),
+        moore_space(3, 2),
+        moore_space(5, 1),
     ]:
         assert validate(space) == []
     with pytest.raises(simplicial.LoopnilError):
-        standard_space("torus")
+        sphere(0)
     with pytest.raises(simplicial.LoopnilError):
-        standard_space("sphere", 0)
-    with pytest.raises(simplicial.LoopnilError):
-        standard_space("moore", 1, 2)
+        moore_space(1, 2)
 
 
 def test_wedge_counts_and_unit_law():

@@ -91,7 +91,20 @@ def test_generator_counts():
 def test_simplicial_group_identities():
     for space in FIXTURES + [sphere(3)]:
         g = loop_group(space)
-        assert g.identity_violations(4) == [], space.name
+        assert oracles.loop_group_identity_violations(g, 4) == [], space.name
+
+
+def test_identity_check_reports_a_corrupted_face_word():
+    # in the loop group of M(Z/2,2), generator 0 of degree 2 is s_0 of the
+    # one generator g of degree 1, so d_1 of it must be g; one extra letter
+    # there breaks d_1 s_0 = 1 in degree 1 and identities above it
+    g = loop_group(moore_space(2, 2))
+    assert g.degeneracy_word(1, 0, 0) == g.face_word(2, 1, 0) == ((0, 1),)
+    assert oracles.loop_group_identity_violations(g, 3) == []
+    g._face_words[2, 1, 0] = ((0, 2),)
+    bad = oracles.loop_group_identity_violations(g, 3)
+    assert (1, 0, "d1 s0") in bad
+    assert (3, 0, "d0 d2") in bad
 
 
 def test_loop_linearization_matches_shifted_reduction():
