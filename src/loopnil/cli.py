@@ -79,7 +79,9 @@ def parse_word(text, names):
         if name in names:
             g = names[name] + 1
         elif name.startswith("x") and _ascii_digits(name[1:]):
-            g = int(name[1:])
+            # a numeral longer than k's is out of range and is not converted
+            digits = name[1:].lstrip("0")
+            g = int(digits or "0") if len(digits) <= len(str(k)) else 0
         else:
             raise SchemaViolation(f"unknown generator {name!r}")
         if not 1 <= g <= k:
@@ -235,11 +237,10 @@ def cmd_loop_group(args):
     faces = {}
     if q >= 1:
         for i in range(q + 1):
-            words = []
-            for idx in range(len(gens)):
-                word = g.face_word(q, i, idx)
-                words.append(" ".join(f"g{x}^{e}" if e != 1 else f"g{x}" for x, e in word) or "1")
-            faces[f"d{i}"] = words
+            faces[f"d{i}"] = [
+                " ".join(f"g{x}^{e}" if e != 1 else f"g{x}" for x, e in word) or "1"
+                for word in g.map_words(q, i, "face")[1]
+            ]
     payload = {
         "degree": q,
         "generator_count": len(gens),

@@ -15,18 +15,15 @@ from .caps import current_caps
 from .errors import InternalInvariantError, LoopnilError
 
 
-def tree_weight(t):
-    if isinstance(t, int):
-        return 1
-    return tree_weight(t[0]) + tree_weight(t[1])
-
-
+@lru_cache(maxsize=None)
 def tree_key(t):
     """Total order on trees: weight, then leaves before brackets, then
-    recursively on the two branches."""
+    recursively on the two branches.  Computed once per tree, a bracket's
+    weight read from its branches' keys."""
     if isinstance(t, int):
         return (1, 0, t)
-    return (tree_weight(t), 1, tree_key(t[0]), tree_key(t[1]))
+    left, right = tree_key(t[0]), tree_key(t[1])
+    return (left[0] + right[0], 1, left, right)
 
 
 def tree_str(t):
@@ -44,19 +41,18 @@ def hall_basis(k, n):
         return tuple(range(1, k + 1))
     if k <= 1:  # a bracket needs two distinct generators
         return ()
-    # each lower-weight tree's key once; every bracket built here has weight
-    # n, so its tree_key order is the order of its two factors' keys
-    keys = {t: tree_key(t) for w in range(1, n) for t in hall_basis(k, w)}
+    # every bracket built here has weight n, so its tree_key order is the
+    # order of its two factors' keys
     out = []
     for wl in range(1, n):
-        rights = [(keys[r], r) for r in hall_basis(k, n - wl)]
+        rights = [(tree_key(r), r) for r in hall_basis(k, n - wl)]
         for left in hall_basis(k, wl):
-            kl = keys[left]
-            sub = None if isinstance(left, int) else keys[left[1]]
+            kl = tree_key(left)
+            sub = None if isinstance(left, int) else tree_key(left[1])
             for kr, right in rights:
                 if kl > kr and (sub is None or sub <= kr):
                     out.append((left, right))
-    out.sort(key=lambda t: (keys[t[0]], keys[t[1]]))
+    out.sort(key=lambda t: (tree_key(t[0]), tree_key(t[1])))
     return tuple(out)
 
 

@@ -59,6 +59,8 @@ def load_json_bytes(data, what="input"):
         raise MalformedJson(
             f"{what}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer longer than Python converts
+        raise MalformedJson(f"{what}: unreadable JSON: {exc}") from None
 
 
 def digest_bytes(data):

@@ -31,15 +31,10 @@ class SimplicialAbelianGroup:
         self._face_fn = face_fn
         self._degenerate_fn = degenerate_fn or (lambda q: ())
         self.name = name
-        self._ranks = {}
         self._nondegenerate = {}
 
     def rank(self, q):
-        if q < 0:
-            return 0
-        if q not in self._ranks:
-            self._ranks[q] = self._rank_fn(q)
-        return self._ranks[q]
+        return self._rank_fn(q) if q >= 0 else 0
 
     def _face(self, q, i, cols):
         rows = self._face_fn(q, i, cols)

@@ -32,6 +32,7 @@ p + q > n commute and need none.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from operator import itemgetter
 import threading
 from dataclasses import dataclass
@@ -170,17 +171,18 @@ class RuleSystem:
         self.k = k
         self.n = n
         self.rank = total_hall_rank(k, n)
-        self.letters = []
-        self.weight_range = {}
+        self.letters, self.weights = [], []
+        # a weight with no Hall tree is followed by none (only k <= 1 has one)
         for w in range(1, n + 1):
-            lo = len(self.letters)
-            self.letters.extend(hall_basis(k, w))
-            self.weight_range[w] = range(lo, len(self.letters))
-        self.weights = [w for w, ids in self.weight_range.items() for _ in ids]
+            trees = hall_basis(k, w)
+            if not trees:
+                break
+            self.letters.extend(trees)
+            self.weights.extend([w] * len(trees))
         self.index = {t: i for i, t in enumerate(self.letters)}
         # end of each letter's movers, the later letters it may not commute
         # with (none when 2 p > n)
-        self._mover_stop = [self.weight_range[n - p].stop if 2 * p <= n else 0 for p in self.weights]
+        self._mover_stop = [bisect_right(self.weights, n - p) if 2 * p <= n else 0 for p in self.weights]
         self.ring = TruncatedRing(k, n)
         self._poly = {}
         self._rules = {}
@@ -192,10 +194,9 @@ class RuleSystem:
         return tree_str(self.letters[i])
 
     def letters_of_weight(self, w):
-        try:
-            return self.weight_range[w]
-        except KeyError:
-            raise LoopnilError(f"weight {w} out of range 1..{self.n}") from None
+        if not 1 <= w <= self.n:
+            raise LoopnilError(f"weight {w} out of range 1..{self.n}")
+        return range(bisect_left(self.weights, w), bisect_right(self.weights, w))
 
     def letter_poly(self, i):
         p = self._poly.get(i)
@@ -304,7 +305,7 @@ class RuleSystem:
         ]
         u_pows = [ring.one] + [ring.power(u, i) for i in range(1, top_a + 1)]
         v_pows = [ring.one] + [ring.power(v, j) for j in range(1, top_b + 1)]
-        first = self.weight_range[p + q].start
+        first = bisect_left(self.weights, p + q)
         values = {}
         for i, j in points:
             vec = self.extract(ring.commutator(u_pows[i], v_pows[j]), start_weight=p + q)
@@ -335,7 +336,7 @@ class RuleSystem:
         form one at a time.  To multiply by x^b, with p the weight of x,
         split the normal form as L M Z: L the letters up to x, M the movers
         y_1^e_1 ... y_m^e_m (the letters after x of weight <= n - p; letters
-        are ordered by weight, so they end at ``weight_range[n - p].stop``)
+        are ordered by weight, so they end at the last letter of weight n - p)
         and Z the rest.  Z commutes with x^b, with every mover and with every
         letter of each tail [y_i^e_i, x^b], because these have weights p,
         >= p and >= 2 p while Z has weight > n - p: the sums pass n.  Since
@@ -410,22 +411,6 @@ def _check_rank(caps, k, n):
 
 # ---------------------------------------------------------------------------
 # free words and nilpotent elements
-
-
-def reduce_free_word(word):
-    """Freely reduce a list of (generator, exponent) pairs."""
-    out = []
-    for g, e in word:
-        if not e:
-            continue
-        if out and out[-1][0] == g:
-            merged = out[-1][1] + e
-            out.pop()
-            if merged:
-                out.append((g, merged))
-        else:
-            out.append((g, e))
-    return out
 
 
 def invert_free_word(word):

@@ -20,7 +20,6 @@ from .nilpotent import (
     _check_rank,
     invert_free_word,
     layer_matrix,
-    reduce_free_word,
     rule_system,
 )
 from .nilq import nilpotent_quotient
@@ -41,8 +40,7 @@ class LoopGroup:
         self.caps = caps or current_caps()
         self._gens = {}
         self._index = {}
-        self._face_words = {}
-        self._degeneracy_words = {}
+        self._maps = {}
 
     def generators(self, q):
         """Generator refs in degree q; a degree over the degree cap is
@@ -59,62 +57,47 @@ class LoopGroup:
     def gen_count(self, q):
         return len(self.generators(q))
 
-    def _letter(self, q, ref):
-        """Generator index of a (q+1)-simplex, or None when it maps to the
-        identity (s0-degenerate)."""
-        if ref.is_s0_degenerate:
-            return None
-        self.generators(q)
-        idx = self._index[q].get(ref)
-        if idx is None:
-            raise InternalInvariantError(f"unknown simplex {ref} in degree {q}")
-        return idx
-
-    def face_word(self, q, i, g):
-        """Image of generator g under d_i as a word over degree q-1."""
-        key = (q, i, g)
-        word = self._face_words.get(key)
-        if word is None:
-            if not (1 <= q and 0 <= i <= q):
-                raise LoopnilError(f"face d_{i} undefined in loop-group degree {q}")
-            ref = self.generators(q)[g]
-            if i == 0:
-                first = self._letter(q - 1, self.space.face(ref, 1))
-                second = self._letter(q - 1, self.space.face(ref, 0))
-                parts = []
-                if first is not None:
-                    parts.append((first, 1))
-                if second is not None:
-                    parts.append((second, -1))
-                word = tuple(reduce_free_word(parts))
-            else:
-                tgt = self._letter(q - 1, self.space.face(ref, i + 1))
-                word = ((tgt, 1),) if tgt is not None else ()
-            self._face_words[key] = word
-        return word
-
-    def degeneracy_word(self, q, i, g):
-        key = (q, i, g)
-        word = self._degeneracy_words.get(key)
-        if word is None:
-            if not (0 <= i <= q):
-                raise LoopnilError(f"degeneracy s_{i} undefined in degree {q}")
-            ref = self.generators(q)[g]
-            tgt = self._letter(q + 1, self.space.degeneracy(ref, i + 1))
-            if tgt is None:
-                raise InternalInvariantError("degeneracy of a generator vanished")
-            word = ((tgt, 1),)
-            self._degeneracy_words[key] = word
-        return word
-
     def map_words(self, q, i, kind):
         """Target degree and the word of every degree-q generator under d_i
-        (kind 'face') or s_i (kind 'degeneracy')."""
-        if kind == "face":
-            target, word_of = q - 1, self.face_word
-        else:
-            target, word_of = q + 1, self.degeneracy_word
-        return target, [word_of(q, i, g) for g in range(self.gen_count(q))]
+        (kind 'face') or s_i (kind 'degeneracy'), built in one pass on first
+        use and kept.  A (q+1)-simplex names the generator it is, or the
+        identity when it is s0-degenerate; the twisted face
+        (d_1 g)(d_0 g)^-1 is empty exactly when both name the same one."""
+        key = (q, i, kind)
+        if key not in self._maps:
+            face = kind == "face"
+            if face and not (1 <= q and 0 <= i <= q):
+                raise LoopnilError(f"face d_{i} undefined in loop-group degree {q}")
+            if not face and not (0 <= i <= q):
+                raise LoopnilError(f"degeneracy s_{i} undefined in degree {q}")
+            target = q - 1 if face else q + 1
+            gens, space = self.generators(q), self.space
+            self.generators(target)
+            index = self._index[target]
+
+            def letter(ref):
+                if ref.is_s0_degenerate:
+                    return None
+                if ref not in index:
+                    raise InternalInvariantError(f"unknown simplex {ref} in degree {target}")
+                return index[ref]
+
+            if not face:
+                words = [letter(space.degeneracy(ref, i + 1)) for ref in gens]
+                if None in words:
+                    raise InternalInvariantError("degeneracy of a generator vanished")
+                words = [((g, 1),) for g in words]
+            elif i:
+                words = [letter(space.face(ref, i + 1)) for ref in gens]
+                words = [() if g is None else ((g, 1),) for g in words]
+            else:
+                words = []
+                for ref in gens:
+                    first, second = letter(space.face(ref, 1)), letter(space.face(ref, 0))
+                    parts = () if first == second else ((first, 1), (second, -1))
+                    words.append(tuple(p for p in parts if p[0] is not None))
+            self._maps[key] = (target, words)
+        return self._maps[key]
 
     def degeneracy_masks(self, q):
         """Bit i of entry g is set when generator g of degree q is the image
@@ -156,24 +139,19 @@ class SimplicialGroupTower:
         group.caps.check_class(n, f"tower stage over {group.space.name}")
         self.group = group
         self.n = n
-        self._homs = {}
 
     def _hom(self, q, i, kind):
         """d_i or s_i out of degree q, each generator's word collected by the
         target's engine; loop-group words use only the target's letters.
         The source's engine is resolved under the same caps, because
         ``layer_matrix`` and ``apply_hom`` look it up without caps."""
-        key = (q, i, kind)
-        hom = self._homs.get(key)
-        if hom is None:
-            group, n = self.group, self.n
-            target, words = group.map_words(q, i, kind)
-            k, caps = group.gen_count(target), group.caps
-            rule_system(len(words), n, caps)
-            engine = rule_system(k, n, caps)
-            images = tuple(NilpotentElement(k, n, tuple(engine.collect(w))) for w in words)
-            hom = self._homs[key] = NilpotentHom(len(words), k, n, images)
-        return hom
+        group, n = self.group, self.n
+        target, words = group.map_words(q, i, kind)
+        k, caps = group.gen_count(target), group.caps
+        rule_system(len(words), n, caps)
+        engine = rule_system(k, n, caps)
+        images = tuple(NilpotentElement(k, n, tuple(engine.collect(w))) for w in words)
+        return NilpotentHom(len(words), k, n, images)
 
     def face_hom(self, q, i):
         return self._hom(q, i, "face")
@@ -263,9 +241,6 @@ class LayerObject:
         whose leaves all lie in one image s_i(generators), i < q."""
         group, n = self.group, self.n
 
-        def rank(q):
-            return self.rank(q) if q >= 0 else 0
-
         def degenerate(q):
             masks = group.degeneracy_masks(q)
             return subalphabet_trees(len(masks), n, masks)
@@ -275,7 +250,7 @@ class LayerObject:
             return self._lie_route(lie_rows, q, i, "face", [basis[j] for j in cols])
 
         return SimplicialAbelianGroup(
-            rank, face, name=f"layer {n} of G({group.space.name})", degenerate_fn=degenerate
+            self.rank, face, name=f"layer {n} of G({group.space.name})", degenerate_fn=degenerate
         )
 
 

@@ -55,10 +55,10 @@ def loop_group_identity_violations(group, max_degree):
     d_j s_j = d_{j+1} s_j = id and d_i s_j = s_j d_{i-1} (i > j + 1)."""
 
     def face(q, i):
-        return lambda g: group.face_word(q, i, g)
+        return group.map_words(q, i, "face")[1].__getitem__
 
     def degen(q, i):
-        return lambda g: group.degeneracy_word(q, i, g)
+        return group.map_words(q, i, "degeneracy")[1].__getitem__
 
     bad = []
     for q in range(max_degree + 1):
@@ -66,25 +66,25 @@ def loop_group_identity_violations(group, max_degree):
             for j in range(q + 1):
                 # faces out of degree q - 1 exist from q = 2 on
                 for i in range(j if q >= 2 else 0):
-                    lhs = _apply_word(face(q - 1, i), group.face_word(q, j, g))
-                    rhs = _apply_word(face(q - 1, j - 1), group.face_word(q, i, g))
+                    lhs = _apply_word(face(q - 1, i), face(q, j)(g))
+                    rhs = _apply_word(face(q - 1, j - 1), face(q, i)(g))
                     if lhs != rhs:
                         bad.append((q, g, f"d{i} d{j}"))
                 for i in range(j + 1):
-                    lhs = _apply_word(degen(q + 1, j + 1), group.degeneracy_word(q, i, g))
-                    rhs = _apply_word(degen(q + 1, i), group.degeneracy_word(q, j, g))
+                    lhs = _apply_word(degen(q + 1, j + 1), degen(q, i)(g))
+                    rhs = _apply_word(degen(q + 1, i), degen(q, j)(g))
                     if lhs != rhs:
                         bad.append((q, g, f"s{i} s{j}"))
                 for i in range(q + 2):
-                    lhs = _apply_word(face(q + 1, i), group.degeneracy_word(q, j, g))
+                    lhs = _apply_word(face(q + 1, i), degen(q, j)(g))
                     if i in (j, j + 1):
                         rhs = [(g, 1)]
                     elif q == 0:  # no face out of degree 0
                         continue
                     elif i < j:
-                        rhs = _apply_word(degen(q - 1, j - 1), group.face_word(q, i, g))
+                        rhs = _apply_word(degen(q - 1, j - 1), face(q, i)(g))
                     else:
-                        rhs = _apply_word(degen(q - 1, j), group.face_word(q, i - 1, g))
+                        rhs = _apply_word(degen(q - 1, j), face(q, i - 1)(g))
                     if lhs != rhs:
                         bad.append((q, g, f"d{i} s{j}"))
     return bad

@@ -417,6 +417,37 @@ def test_integers_too_long_to_print_are_refused(tmp_path):
     assert code == 0 and rep["result"]["normal_form"] == [{"letter": "x1", "exponent": a}]
 
 
+def test_one_generator_engine_answers_at_any_class():
+    # every weight above 1 is empty on one generator, so none gets a table
+    start = time.process_time()
+    code, rep = run_json(["collect", "--generators", "1", "--class", "10000000", "--word", "a^3 a"])
+    assert time.process_time() - start < 1.0
+    assert code == 0 and rep["result"]["normal_form"] == [{"letter": "x1", "exponent": 4}]
+
+
+def test_integers_too_long_to_read_are_rejected(tmp_path):
+    # Python converts at most 4,300 digits to an integer: a longer x<digits>
+    # letter is out of range unconverted, and a longer JSON integer is
+    # malformed input, both exit 2 with a report
+    b = "9" * 5000
+    code, rep = run_json(["collect", "--generators", "2", "--class", "2", "--word", f"x{b}"])
+    assert code == 2 and rep["error"]["message"] == f"generator 'x{b}' out of range 1..2"
+    # leading zeros add no length
+    code, rep = run_json(["collect", "--generators", "2", "--class", "2", "--word", f"x{'0' * 5000}2"])
+    assert code == 0 and rep["result"]["normal_form"] == [{"letter": "x2", "exponent": 1}]
+    cell = {"id": "e", "faces": [face([]), {"degeneracies": ["B"], "base": "*"}]}
+    text = json.dumps({"name": "big", "simplices": [[{"id": "*", "faces": []}], [cell]]})
+    path = tmp_path / "big.json"
+    path.write_text(text.replace('"B"', b))
+    code, rep = run_json(["validate", str(path)])
+    assert code == 2 and rep["error"]["kind"] == "malformed-json"
+    assert "value has 5000 digits" in rep["error"]["message"]
+    # a syntax error keeps its position
+    path.write_text(text.replace('"B"', "9,"))
+    code, rep = run_json(["validate", str(path)])
+    assert code == 2 and "malformed JSON at line 1 column" in rep["error"]["message"]
+
+
 def test_class_cap_exit(monkeypatch):
     monkeypatch.setenv("LOOPNIL_MAX_CLASS", "2")
     code, rep = run_json(["tower", "pi0", space("wedge2.json"), "--class", "3"])

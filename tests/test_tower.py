@@ -39,13 +39,42 @@ def test_loop_group_checks_the_degree_cap_once_per_degree():
     g = loop_group(sphere(2), CountingCaps(max_degree=2))
     for _ in range(3):
         g.gen_count(2)
-        g.face_word(2, 0, 0)
+        g.map_words(2, 0, "face")
     assert checked == [2, 1]
     # an over-cap degree is never cached, so it is refused every time
     for _ in range(2):
         with pytest.raises(CapExceeded, match="degree 3 exceeds cap 2"):
             g.gen_count(3)
     assert checked == [2, 1, 3, 3]
+
+
+def test_map_words_builds_each_map_once(monkeypatch):
+    from loopnil.simplicial import SimplicialSet
+
+    g = loop_group(moore_space(2, 2))
+    calls = []
+    face = SimplicialSet.face
+    monkeypatch.setattr(
+        SimplicialSet, "face", lambda self, ref, i: calls.append(i) or face(self, ref, i)
+    )
+    target, words = g.map_words(2, 0, "face")
+    # d_0 reads the space's d_1 and d_0 of each of the three generators
+    assert (target, len(words), len(calls)) == (1, 3, 6)
+    assert g.map_words(2, 0, "face")[1] is words
+    assert len(calls) == 6
+
+
+def test_map_words_rejects_undefined_maps_without_generators():
+    from loopnil.errors import LoopnilError
+
+    g = loop_group(point())
+    assert g.gen_count(0) == 0
+    with pytest.raises(LoopnilError, match="face d_0 undefined in loop-group degree 0"):
+        g.map_words(0, 0, "face")
+    with pytest.raises(LoopnilError, match="face d_3 undefined in loop-group degree 2"):
+        g.map_words(2, 3, "face")
+    with pytest.raises(LoopnilError, match="degeneracy s_2 undefined in degree 1"):
+        g.map_words(1, 2, "degeneracy")
 
 
 def test_loop_groups_on_one_space_validate_it_once(monkeypatch):
@@ -72,7 +101,7 @@ def test_degeneracy_masks_mark_the_degeneracy_images():
             masks = [0] * g.gen_count(q)
             for i in range(q):
                 for h in range(g.gen_count(q - 1)):
-                    ((img, _),) = g.degeneracy_word(q - 1, i, h)
+                    ((img, _),) = g.map_words(q - 1, i, "degeneracy")[1][h]
                     masks[img] |= 1 << i
             assert g.degeneracy_masks(q) == masks, (space.name, q)
 
@@ -99,9 +128,9 @@ def test_identity_check_reports_a_corrupted_face_word():
     # one generator g of degree 1, so d_1 of it must be g; one extra letter
     # there breaks d_1 s_0 = 1 in degree 1 and identities above it
     g = loop_group(moore_space(2, 2))
-    assert g.degeneracy_word(1, 0, 0) == g.face_word(2, 1, 0) == ((0, 1),)
+    assert g.map_words(1, 0, "degeneracy")[1][0] == g.map_words(2, 1, "face")[1][0] == ((0, 1),)
     assert oracles.loop_group_identity_violations(g, 3) == []
-    g._face_words[2, 1, 0] = ((0, 2),)
+    g.map_words(2, 1, "face")[1][0] = ((0, 2),)
     bad = oracles.loop_group_identity_violations(g, 3)
     assert (1, 0, "d1 s0") in bad
     assert (3, 0, "d0 d2") in bad
