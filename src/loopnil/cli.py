@@ -61,11 +61,11 @@ def read_space(path):
     return parse_space(data, what=path), data
 
 
-def parse_word(text, names):
+def parse_word(text, names, k):
     """Whitespace-separated letters with optional integer exponents, e.g.
-    "b a b^-1"; letters may also be written x1, x2, ... up to the number
-    of generators that ``names`` indexes."""
-    k = len(set(names.values()))
+    "b a b^-1", over k generators; a letter is a key of ``names`` (mapping
+    to a 0-based index) or, failing that, one of x1, x2, ..., xk.  An
+    exponent too long for Python to convert is refused as a cap."""
     word = []
     for token in text.split():
         name, caret, exp = token.partition("^")
@@ -73,7 +73,13 @@ def parse_word(text, names):
             try:
                 e = ascii_int(exp)
             except ValueError:
-                raise MalformedJson(f"bad exponent in token {token!r}") from None
+                digits = _unsigned(exp)
+                if not _ascii_digits(digits):
+                    raise MalformedJson(f"bad exponent in token {token!r}") from None
+                raise CapExceeded(
+                    f"exponent of {len(digits)} digits exceeds the "
+                    f"{sys.get_int_max_str_digits()}-digit limit of integer conversion"
+                ) from None
         else:
             e = 1
         if name in names:
@@ -96,22 +102,23 @@ def _ascii_digits(text):
     return text.isascii() and text.isdigit()
 
 
+def _unsigned(text):
+    return text[1:] if text[:1] in ("+", "-") else text
+
+
 def ascii_int(text):
     """An optional sign, then :func:`_ascii_digits`; the one integer syntax
-    of exponents and integer options."""
-    if not _ascii_digits(text[1:] if text[:1] in ("+", "-") else text):
+    of exponents and integer options.  Raises ``ValueError`` on any other
+    text, and on digits past Python's int-to-str conversion limit."""
+    if not _ascii_digits(_unsigned(text)):
         raise ValueError(f"invalid integer {text!r}")
     return int(text)
 
 
 def default_names(k):
-    """a..z aliases for up to 26 generators alongside x1..xk."""
-    names = {}
-    for i in range(k):
-        names[f"x{i + 1}"] = i
-        if i < 26:
-            names[chr(ord("a") + i)] = i
-    return names
+    """a..z aliases for the first 26 of k generators; :func:`parse_word`
+    reads x1..xk itself."""
+    return {chr(ord("a") + i): i for i in range(min(k, 26))}
 
 
 def parse_presentation(data, what="presentation"):
@@ -127,9 +134,7 @@ def parse_presentation(data, what="presentation"):
     if not isinstance(rels, list) or not all(isinstance(r, str) for r in rels):
         raise SchemaViolation(f'{what}: "relators" must be a list of words')
     names = {g: i for i, g in enumerate(gens)}
-    for i in range(len(gens)):
-        names.setdefault(f"x{i + 1}", i)
-    words = [parse_word(r, names) for r in rels]
+    words = [parse_word(r, names, len(gens)) for r in rels]
     return len(gens), words
 
 
@@ -194,7 +199,7 @@ def cmd_witt(args):
 
 
 def cmd_collect(args):
-    word = parse_word(args.word, default_names(args.generators))
+    word = parse_word(args.word, default_names(args.generators), args.generators)
     elt = collect(word, args.generators, args.cls)
     payload = {
         "generators": args.generators,

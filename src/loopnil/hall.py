@@ -170,27 +170,28 @@ def lie_of_map(f, n, src_k=None, tgt_k=None):
         tgt_k = len(f)
     if src_k is None:
         src_k = len(f[0]) if f else 0
-    return intmat.dense_rows(lie_rows(f, n, src_k, tgt_k), witt_rank(src_k, n))
-
-
-def lie_rows(f, n, src_k, tgt_k, trees=None):
-    """Lie_n(f) in Hall bases as ``{col: value}`` rows of nonzero entries,
-    one row per weight-n Hall tree over tgt_k generators and one column per
-    source tree in ``trees`` (by default every weight-n Hall tree over src_k,
-    in order), for the tgt_k x src_k integer matrix f.
-
-    Each Hall tree's image is taken once, bottom-up: a generator goes to its
-    column of f and a bracket ``(a, b)`` to the bracket of the images of a
-    and b, memoized below weight n for the length of the call."""
     if len(f) != tgt_k or any(len(row) != src_k for row in f):
         raise LoopnilError(
             f"Lie_{n}(f) from Z^{src_k} to Z^{tgt_k} needs a {tgt_k}x{src_k} "
             "matrix f (rows are targets)"
         )
-    images = {
-        j: tuple((i + 1, row[j - 1]) for i, row in enumerate(f) if row[j - 1])
-        for j in range(1, src_k + 1)
-    }
+    cols = [[(i, row[j]) for i, row in enumerate(f) if row[j]] for j in range(src_k)]
+    return intmat.dense_rows(lie_rows(cols, n, tgt_k), witt_rank(src_k, n))
+
+
+def lie_rows(cols, n, tgt_k, trees=None):
+    """Lie_n(f) in Hall bases as ``{col: value}`` rows of nonzero entries,
+    one row per weight-n Hall tree over tgt_k generators and one column per
+    source tree in ``trees`` (by default every weight-n Hall tree over the
+    len(cols) source generators, in order).  The map f is given by its
+    columns: ``cols[j]`` holds the nonzero (0-based target, coefficient)
+    pairs of source generator j + 1, one pair per target, the word format
+    of ``LoopGroup.map_words``.
+
+    Each Hall tree's image is taken once, bottom-up: a generator goes to its
+    column of f and a bracket ``(a, b)`` to the bracket of the images of a
+    and b, memoized below weight n for the length of the call."""
+    images = {j: tuple((i + 1, c) for i, c in col) for j, col in enumerate(cols, 1)}
 
     def image(tree):
         img = images.get(tree)
@@ -201,7 +202,7 @@ def lie_rows(f, n, src_k, tgt_k, trees=None):
     tgt_index = {t: i for i, t in enumerate(hall_basis(tgt_k, n))}
     rows = [{} for _ in tgt_index]
     if trees is None:
-        trees = hall_basis(src_k, n)
+        trees = hall_basis(len(cols), n)
     for j, tree in enumerate(trees):
         img = images[tree] if n == 1 else _bracket_combo(image(tree[0]), image(tree[1]))
         for t, c in img:
@@ -230,21 +231,6 @@ def subalphabet_trees(k, n, masks):
 # cross-effect complex of Lie_n on a tuple of free abelian groups
 
 
-def _collapse_matrix(ranks, drop):
-    """Projection Z^(sum ranks) -> Z^(sum of ranks without block ``drop``)."""
-    total = sum(ranks)
-    keep = []
-    offset = 0
-    for s, r in enumerate(ranks):
-        if s != drop:
-            keep.extend(range(offset, offset + r))
-        offset += r
-    out = intmat.zeros(len(keep), total)
-    for i, j in enumerate(keep):
-        out[i][j] = 1
-    return out
-
-
 def cross_effect_kernel(n, ranks):
     """Invariants of ker(L0 -> L1) in the cross-effect complex of Lie_n.
 
@@ -258,7 +244,11 @@ def cross_effect_kernel(n, ranks):
         raise LoopnilError(f"expected {n + 1} ranks, got {len(ranks)}")
     total = sum(ranks)
     caps.check_layer_rank(f"Witt rank of Lie_{n}(Z^{total})", witt_rank(total, n), context)
-    rows = []
-    for s, r in enumerate(ranks):
-        rows += lie_rows(_collapse_matrix(ranks, s), n, total, total - r)
+    rows, start = [], 0
+    for r in ranks:
+        # the collapse map sends generators start..start + r - 1 to 0 and
+        # keeps the others in order
+        kept = [((j, 1),) for j in range(total - r)]
+        rows += lie_rows(kept[:start] + [()] * r + kept[start:], n, total - r)
+        start += r
     return AbelianInvariants(witt_rank(total, n) - len(intmat.sparse_invariant_factors(rows)))

@@ -5,9 +5,12 @@ integers; a matrix with zero rows or columns is represented with explicit
 shape arguments where needed.  Invariant factors take one route, and no
 transform is kept anywhere on it: ``sparse_invariant_factors`` eliminates
 unit pivots over ``{col: value}`` rows, then hands the residue without unit
-entries to the dense core ``smith_normal_form``.  Dense pivots are chosen by
-minimal absolute value because intermediate entry blowup is the known
-failure mode of integer elimination.
+entries to the dense core ``smith_normal_form``.  The dense core always
+pivots on an entry of least absolute value.  Every remainder it leaves is
+smaller still, so each pass either splits off a factor or shrinks the
+pivot, and the multipliers stay small: coefficient growth is the known
+failure mode of integer elimination (Kannan and Bachem, SIAM J. Comput. 8,
+1979; Havas, Holt and Rees, Linear Algebra Appl. 192, 1993).
 """
 
 from math import gcd
@@ -31,63 +34,37 @@ def transpose(a, ncols=None):
     return [[a[i][j] for i in range(m)] for j in range(n)]
 
 
-def _swap_cols(a, i, j):
-    if i != j:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-
-def smith_normal_form(a, ncols=None):
+def smith_normal_form(a):
     """Nonzero invariant factors of ``a``, in divisibility order.
 
-    Unimodular row and column operations diagonalize a copy of ``a``; no
-    transform is kept and ``a`` is not modified.
+    Works on a copy, so ``a`` is not modified.  A nonzero entry p of least
+    absolute value, ties by row and then column, reduces its column by row
+    operations and its row by column operations to remainders mod p.  When
+    both are clear, |p| splits off with its row and column; otherwise a
+    remainder, smaller than |p|, is the next pivot.
     """
-    m, n = shape(a, ncols)
     d = [row[:] for row in a]
     diag = []
-    for t in range(min(m, n)):
-        pivot = _find_pivot(d, t, m, n)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        d[t], d[pi] = d[pi], d[t]
-        _swap_cols(d, t, pj)
-        while True:
-            # clear column t completely first: row operations against a
-            # dirty column let entries in the rest of the matrix mix and
-            # blow up, so remainders are swapped into the pivot (strictly
-            # shrinking it) and the scan restarts until the column is clean
-            while True:
-                swapped = False
-                for i in range(t + 1, m):
-                    val = d[i][t]
-                    if val:
-                        q = val // d[t][t]
-                        if q:
-                            d[i] = [x - q * y for x, y in zip(d[i], d[t])]
-                        if d[i][t]:
-                            d[t], d[i] = d[i], d[t]
-                            swapped = True
-                if not swapped:
-                    break
-            # a column swap below refills column t, so these column
-            # operations act on every row, and the column is cleared again
-            row_swapped = False
-            for j in range(t + 1, n):
-                val = d[t][j]
-                if val:
-                    q = val // d[t][t]
-                    if q:
-                        for row in d:
-                            if row[t]:
-                                row[j] -= q * row[t]
-                    if d[t][j]:
-                        _swap_cols(d, t, j)
-                        row_swapped = True
-            if not row_swapped:
-                break
-        diag.append(abs(d[t][t]))
+    while any(map(any, d)):
+        _, pi, pj = min((abs(x), i, j) for i, row in enumerate(d) for j, x in enumerate(row) if x)
+        prow = d[pi]
+        p = prow[pj]
+        for i, row in enumerate(d):
+            q = row[pj] // p
+            if q and i != pi:
+                d[i] = [x - q * y for x, y in zip(row, prow)]
+        qs = [x // p for x in prow]
+        qs[pj] = 0
+        if any(qs):
+            for i, row in enumerate(d):
+                c = row[pj]
+                if c:
+                    d[i] = [x - c * q for x, q in zip(row, qs)]
+        if sum(map(bool, d[pi])) == 1 and sum(1 for row in d if row[pj]) == 1:
+            diag.append(abs(p))
+            del d[pi]
+            for row in d:
+                del row[pj]
     # diag(x, y) and diag(gcd, lcm) are equivalent over the integers; after
     # the pass over j, diag[i] divides every later entry
     for i in range(len(diag)):
@@ -97,23 +74,6 @@ def smith_normal_form(a, ncols=None):
                 g = gcd(x, y)
                 diag[i], diag[j] = g, x // g * y
     return diag
-
-
-def _find_pivot(d, t, m, n):
-    best = None
-    where = None
-    for i in range(t, m):
-        row = d[i]
-        for j in range(t, n):
-            val = row[j]
-            if val:
-                a = abs(val)
-                if best is None or a < best:
-                    best = a
-                    where = (i, j)
-                    if a == 1:
-                        return where
-    return where
 
 
 def dense_rows(rows, ncols):
@@ -202,4 +162,4 @@ def sparse_invariant_factors(rows):
     residue = [row for row in rows if row]
     cols = sorted({j for row in residue for j in row})
     dense = [[row.get(j, 0) for j in cols] for row in residue]
-    return [1] * units + smith_normal_form(dense, ncols=len(cols))
+    return [1] * units + smith_normal_form(dense)

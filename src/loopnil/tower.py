@@ -211,12 +211,6 @@ class LayerObject:
             for j in range(q + 1)
         )
 
-    def _lie_route(self, lie, q, i, kind, *trees):
-        """``lie`` (``lie_of_map``, or ``lie_rows`` with its source trees) of
-        the abelianized map."""
-        mat = abelianized_matrix(self.group, q, i, kind)
-        return lie(mat, self.n, self.group.gen_count(q), len(mat), *trees)
-
     def comparison_ok(self, max_degree):
         """Both routes agree for every structure map among degrees 0..max_degree,
         compared one map at a time up to the first disagreement.
@@ -229,10 +223,12 @@ class LayerObject:
         stage = SimplicialGroupTower(self.group, self.n)
         maps = [(q, i, "face") for q in range(1, max_degree + 1) for i in range(q + 1)]
         maps += [(q, i, "degeneracy") for q in range(max_degree) for i in range(q + 1)]
-        return all(
-            layer_matrix(stage._hom(*m), self.n) == self._lie_route(lie_of_map, *m)
-            for m in maps
-        )
+
+        def lie_route(q, i, kind):
+            mat = abelianized_matrix(self.group, q, i, kind)
+            return lie_of_map(mat, self.n, self.group.gen_count(q), len(mat))
+
+        return all(layer_matrix(stage._hom(*m), self.n) == lie_route(*m) for m in maps)
 
     def abelian(self):
         """The Lie-functor side as a simplicial abelian group (the side that
@@ -247,7 +243,8 @@ class LayerObject:
 
         def face(q, i, cols):
             basis = hall_basis(group.gen_count(q), n)
-            return self._lie_route(lie_rows, q, i, "face", [basis[j] for j in cols])
+            target, words = group.map_words(q, i, "face")
+            return lie_rows(words, n, group.gen_count(target), [basis[j] for j in cols])
 
         return SimplicialAbelianGroup(
             self.rank, face, name=f"layer {n} of G({group.space.name})", degenerate_fn=degenerate

@@ -256,6 +256,25 @@ def _det(mat):
     return total
 
 
+def det_by_fractions(mat):
+    """Determinant of a square matrix by elimination over the rationals."""
+    a = [[Fraction(v) for v in row] for row in mat]
+    det = Fraction(1)
+    for t in range(len(a)):
+        piv = next((i for i in range(t, len(a)) if a[i][t]), None)
+        if piv is None:
+            return 0
+        if piv != t:
+            a[t], a[piv] = a[piv], a[t]
+            det = -det
+        det *= a[t][t]
+        for i in range(t + 1, len(a)):
+            f = a[i][t] / a[t][t]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+    return int(det)
+
+
 def cokernel_by_snf(mat):
     m = len(mat)
     diag = snf_diagonal(mat)

@@ -106,7 +106,7 @@ def test_tower_pi0_report():
     ]
 
 
-def test_collect_word_aliases():
+def test_collect_word_aliases(tmp_path):
     code, rep = run_json(
         ["collect", "--generators", "2", "--class", "2", "--word", "x2 x1"]
     )
@@ -120,6 +120,18 @@ def test_collect_word_aliases():
         ["collect", "--generators", "2", "--class", "2", "--word", "q a"]
     )
     assert code == 2 and rep["error"]["code"] == 2
+    # a..z name the first 26 generators; x<i> names any, leading zeros dropped
+    code, rep = run_json(["collect", "--generators", "30", "--class", "1", "--word", "x27 x01^2 a"])
+    assert code == 0 and rep["result"]["normal_form"] == [
+        {"letter": "x1", "exponent": 3},
+        {"letter": "x27", "exponent": 1},
+    ]
+    # a presentation's own names come first, then x<i> by position
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps({"generators": ["x2", "q"], "relators": ["x2^2", "x02^3"]}))
+    code, rep = run_json(["nilq", str(path), "--class", "2"])
+    assert code == 0 and rep["result"]["relations"][0] == "x1^2"
+    assert rep["result"]["layers"][0] == {"rank": 0, "torsion": [6]}
 
 
 @pytest.mark.parametrize(
@@ -383,6 +395,9 @@ def test_cross_effect_witt_rank_cap_exit():
         (["collect", "--generators", "2", "--class", "100000", "--word", "a"], 3),
         (["hall-basis", "--generators", "2", "--class", "100000"], 3),
         (["nilq", presentation("commuting2.json"), "--class", "100000"], 3),
+        # no name is listed per generator before the Hall-rank refusal
+        (["collect", "--generators", "10000000", "--class", "2", "--word", "a"], 3),
+        (["collect", "--generators", "100000000", "--class", "2", "--word", "a"], 3),
     ],
 )
 def test_huge_class_answers_or_is_refused_at_once(argv, want):
@@ -446,6 +461,32 @@ def test_integers_too_long_to_read_are_rejected(tmp_path):
     path.write_text(text.replace('"B"', "9,"))
     code, rep = run_json(["validate", str(path)])
     assert code == 2 and "malformed JSON at line 1 column" in rep["error"]["message"]
+
+
+def test_exponents_too_long_to_read_are_refused(tmp_path):
+    # a well-formed exponent past the 4,300 digits that Python converts is
+    # a cap, in a collect word and in a nilq relator; other bad syntax stays
+    # malformed
+    b = "9" * 5000
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "big.json"
+    for exp in (b, f"-{b}", f"+{b}"):
+        path.write_text(json.dumps({"generators": ["a", "b"], "relators": [f"a^{exp}"]}))
+        for argv in (
+            ["collect", "--generators", "2", "--class", "2", "--word", f"a^{exp}"],
+            ["nilq", str(path), "--class", "2"],
+        ):
+            start = time.process_time()
+            code, rep = run_json(argv)
+            assert time.process_time() - start < 1.0
+            assert code == 3 and rep["error"]["kind"] == "resource-cap", argv
+            assert rep["error"]["message"] == (
+                f"exponent of 5000 digits exceeds the {limit}-digit limit of integer conversion"
+            )
+    code, rep = run_json(["collect", "--generators", "2", "--class", "2", "--word", f"a^+-{b}"])
+    assert code == 2 and rep["error"]["kind"] == "malformed-json"
+    # an integer option stays a usage error
+    assert run_command(["witt", "--generators", "2", "--class", b])[0] == 2
 
 
 def test_class_cap_exit(monkeypatch):

@@ -151,8 +151,10 @@ def test_lie_rows_on_chosen_trees_are_columns_of_the_whole(seed):
     f = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(l)]
     basis = hall.hall_basis(k, n)
     cols = sorted(rng.sample(range(len(basis)), len(basis) // 2))
-    whole = hall.lie_rows(f, n, k, l)
-    some = hall.lie_rows(f, n, k, l, [basis[j] for j in cols])
+    # f as sparse columns: the nonzero (0-based target, coefficient) pairs
+    f_cols = [[(i, row[j]) for i, row in enumerate(f) if row[j]] for j in range(k)]
+    whole = hall.lie_rows(f_cols, n, l)
+    some = hall.lie_rows(f_cols, n, l, [basis[j] for j in cols])
     assert some == [
         {p: row[j] for p, j in enumerate(cols) if j in row} for row in whole
     ]
@@ -254,10 +256,13 @@ def test_cross_effect_kernel_checks_the_class_cap(monkeypatch):
 
 def test_cross_effect_kernel_stays_sparse():
     # Lie_4 on Z^10: 2,475 columns against five stacked collapse maps of
-    # 1,008 rows each; intersecting their kernels densely took about 10 s
-    started = time.process_time()
-    assert hall.cross_effect_kernel(4, [2, 2, 2, 2, 2]).is_trivial
-    assert time.process_time() - started < 2
+    # 1,008 rows each; intersecting their kernels densely took about 10 s.
+    # Lie_1 on Z^10000: built as dense 5,000 x 10,000 matrices, the two
+    # collapse maps took about 19 s and 400 MB
+    for n, ranks in ((4, [2, 2, 2, 2, 2]), (1, [5000, 5000])):
+        started = time.process_time()
+        assert hall.cross_effect_kernel(n, ranks).is_trivial
+        assert time.process_time() - started < 2
 
 
 def test_cross_effect_complex_composes_to_zero():
@@ -270,8 +275,11 @@ def test_cross_effect_complex_composes_to_zero():
         def collapse(subset, drop):
             ranks_from = [r for i, r in enumerate(ranks) if i not in subset]
             pos = [i for i in range(n + 1) if i not in subset].index(drop)
-            coll = hall._collapse_matrix(ranks_from, pos)
             src = sum(ranks_from)
+            # the projection Z^src -> Z^(src - ranks[drop]) that drops block pos
+            start = sum(ranks_from[:pos])
+            kept = [j for j in range(src) if not start <= j < start + ranks_from[pos]]
+            coll = [[int(j == c) for j in range(src)] for c in kept]
             return hall.lie_of_map(coll, n, src_k=src, tgt_k=src - ranks[drop])
 
         def sign(subset, drop):

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 
@@ -11,10 +13,10 @@ def sparse(a):
     return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
-def check_snf(a, ncols=None):
-    m, n = intmat.shape(a, ncols)
+def check_snf(a):
+    m, n = intmat.shape(a)
     before = [row[:] for row in a]
-    facs = intmat.smith_normal_form(a, ncols=n)
+    facs = intmat.smith_normal_form(a)
     assert a == before
     assert len(facs) <= min(m, n)
     prev = None
@@ -29,8 +31,9 @@ def check_snf(a, ncols=None):
 def test_snf_known():
     a = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     assert check_snf(a) == [2, 2, 156]
-    # a column swap refills the pivot column, so the column operations that
-    # follow must act on every row, not the pivot row alone
+    # clearing the pivot row leaves remainders in other rows of the pivot
+    # column, so the column operations must act on every row, not the
+    # pivot row alone
     a = [
         [-1, -6, -2, 4, 0, 12],
         [-6, -1, 9, -1, 2, 4],
@@ -43,8 +46,8 @@ def test_snf_known():
 
 def test_snf_zero_and_empty():
     assert check_snf([[0, 0], [0, 0]]) == []
-    assert check_snf([], ncols=3) == []
-    assert check_snf([[1], [2]], ncols=1) == [1]
+    assert check_snf([]) == []
+    assert check_snf([[1], [2]]) == [1]
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -73,19 +76,47 @@ def test_kernel_basis_random(seed):
     assert all(all(v == 0 for v in row) for row in oracles.matmul(a, basis, p))
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_snf_larger_random_self_consistent(seed):
-    # the leftmost-pivot oracle blows up at this size (the failure mode the
-    # minimal-pivot selection exists for), so check transpose invariance and
-    # the rational rank instead
+def _random_6_to_8(seed):
     rng = random.Random(500 + seed)
     m = rng.randint(6, 8)
     n = rng.randint(6, 8)
-    a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+    return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+
+
+def _random_12(seed):
+    rng = random.Random(seed)
+    return [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)]
+
+
+def _few_units_20(seed):
+    # few +-1 entries, so unit pivots leave most of the matrix to the dense core
+    rng = random.Random(seed)
+    return [[rng.choice((0,) * 8 + (2, -2, 1, 3)) for _ in range(20)] for _ in range(20)]
+
+
+@pytest.mark.parametrize(
+    "a",
+    [pytest.param(_random_6_to_8(s), id=str(s)) for s in range(8)]
+    # a swap-and-restart elimination blows up on these: 0.56-74 s on the
+    # 12 x 12 inputs, more than 3 s on the 20 x 20 ones
+    + [pytest.param(_random_12(s), id=f"12x12-{s}") for s in range(5)]
+    + [pytest.param(_few_units_20(s), id=f"20x20-few-units-{s}") for s in range(3)],
+)
+def test_snf_larger_random_self_consistent(a):
+    # the leftmost-pivot oracle blows up at this size (the failure mode the
+    # minimal-pivot selection exists for), so check transpose invariance,
+    # the sparse route, the rational rank and, on a square input, the
+    # determinant instead
+    started = time.process_time()
     facs = check_snf(a)
-    at = intmat.transpose(a, ncols=n)
-    assert check_snf(at) == facs
-    assert len(facs) == n - oracles.kernel_rank_by_fractions(a, n)
+    assert check_snf(intmat.transpose(a)) == facs
+    assert intmat.sparse_invariant_factors(sparse(a)) == facs
+    assert time.process_time() - started < 2
+    m, n = intmat.shape(a)
+    assert len(facs) == n - oracles.kernel_rank_by_fractions(a)
+    if m == n:
+        det = abs(oracles.det_by_fractions(a))
+        assert (math.prod(facs) if len(facs) == n else 0) == det
 
 
 def test_snf_divisibility_repair_stress():

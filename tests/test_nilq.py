@@ -268,7 +268,7 @@ def test_frozen_corpus_layers():
     ],
 )
 def test_former_cliff_presentations(k, rels, n, want):
-    words = [parse_word(r, default_names(k)) for r in rels]
+    words = [parse_word(r, default_names(k), k) for r in rels]
     start = time.process_time()
     q = nilpotent_quotient(k, words, n)
     elapsed = time.process_time() - start
