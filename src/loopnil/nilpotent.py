@@ -29,6 +29,28 @@ polynomials), and they vanish for i = 0 or j = 0 because [u^a, v^b] = 1
 when a = 0 or b = 0.  Hence one rule per letter pair, interpolated from the
 grid i, j >= 1, i p + j q <= n, serves every exponent pair; letters with
 p + q > n commute and need none.
+
+One rule per class (restriction and retraction).  For k <= K let i be the
+homomorphism of free class-n groups on k and on K generators with x_j -> x_j,
+and r the retraction with x_j -> x_j for j <= k and x_j -> 1 above, so r i = 1.
+A Hall tree over k is a Hall tree over K, i sends its letter to the same
+letter, and Hall sets restrict to sub-alphabets in the same order (Reutenauer,
+Free Lie Algebras, ch. 4), so i sends a normal form to a normal form; r sends a
+letter with a leaf above k to 1 (a commutator with a trivial entry) and the
+others to themselves, so r sends a normal form to a normal form too.  By
+uniqueness of normal forms the normal form of [u^a, v^b] over K is the one over
+k, for every k that holds the leaves of u and v.  So a rule, written on Hall
+trees, depends only on (u, v, n), and so does a letter's ring element, which
+involves only the X_i of its leaves.  The engines of one class share both,
+keyed by Hall trees; an engine maps a rule's trees to its own letters, an
+order-keeping map because its Hall basis keeps the larger one's order.
+
+Linear peel.  When 2 w > n and g - 1 has no terms below degree w, let
+x_1^e_1 ... x_m^e_m be the weight-w letters read off g.  Every term of
+x^-e - 1 + e (x - 1) = sum_{j >= 2} C(-e, j) (x - 1)^j, every cross term of the
+product of the x_i^-e_i, and every term of (x_i - 1)(g - 1) has degree
+>= 2 w > n, so the peeled element is g - sum_i e_i (x_i - 1): no ring product
+is needed.
 """
 
 import math
@@ -160,11 +182,15 @@ class RuleSystem:
     The bound holds because hi^a - 1 = sum_i C(a, i) (hi - 1)^i and
     (hi - 1)^i starts in degree i p in the truncated ring (module docstring).
     A rule is built on the pair's first use and serves every exponent pair;
-    pairs with p + q > n commute and get none.
+    pairs with p + q > n commute and get none.  Rules and letter ring
+    elements are kept once per class, keyed by Hall trees, for the engines
+    of every generator count (module docstring); each engine keeps its own
+    view of them by letter index.
 
     Built through :func:`rule_system`, which checks the total-rank cap.
-    After construction the caches (at most one rule per letter pair) only
-    grow monotonically under a lock, so concurrent readers are safe.
+    After construction the caches, the class tables among them (at most one
+    rule per letter pair), only grow monotonically under locks, so concurrent
+    readers are safe.
     """
 
     def __init__(self, k, n):
@@ -202,12 +228,17 @@ class RuleSystem:
         p = self._poly.get(i)
         if p is None:
             t = self.letters[i]
-            if isinstance(t, int):
-                p = self.ring.gen_unit(t - 1)
-            else:
-                p = self.ring.commutator(
-                    self.letter_poly(self.index[t[0]]), self.letter_poly(self.index[t[1]])
-                )
+            key = (self.n, t)
+            p = _class_polys.get(key)
+            if p is None:
+                if isinstance(t, int):
+                    p = self.ring.gen_unit(t - 1)
+                else:
+                    p = self.ring.commutator(
+                        self.letter_poly(self.index[t[0]]), self.letter_poly(self.index[t[1]])
+                    )
+                with _class_lock:
+                    p = _class_polys.setdefault(key, p)
             with self._lock:
                 self._poly[i] = p
         return p
@@ -241,7 +272,7 @@ class RuleSystem:
         """Normal-form exponents of a group-like ring element."""
         ring = self.ring
         vec = [0] * self.rank
-        g = poly
+        g = dict(poly)
         for w in range(start_weight, self.n + 1):
             part = ring.homogeneous(g, w)
             if not part:
@@ -249,13 +280,25 @@ class RuleSystem:
             coeffs = self._solve_weight(w, part)
             if not coeffs:
                 continue
-            # the inverse of the ordered product of letter powers, built in
-            # reverse order from the inverse powers
-            peel = ring.one
-            for letter, e in sorted(coeffs.items(), reverse=True):
-                vec[letter] = e
-                peel = ring.mul(peel, ring.power(self.letter_poly(letter), -e))
-            g = ring.mul(peel, g)
+            if 2 * w > self.n:
+                # the linear peel g - sum e (letter - 1) (module docstring)
+                for letter, e in coeffs.items():
+                    vec[letter] = e
+                    for m, c in self.letter_poly(letter).items():
+                        if m:
+                            v = g.get(m, 0) - e * c
+                            if v:
+                                g[m] = v
+                            else:
+                                del g[m]
+            else:
+                # the inverse of the ordered product of letter powers, built
+                # in reverse order from the inverse powers
+                peel = ring.one
+                for letter, e in sorted(coeffs.items(), reverse=True):
+                    vec[letter] = e
+                    peel = ring.mul(peel, ring.power(self.letter_poly(letter), -e))
+                g = ring.mul(peel, g)
             if ring.homogeneous(g, w):
                 raise InternalInvariantError("weight peeling failed")
         if not ring.is_one(g):
@@ -288,14 +331,31 @@ class RuleSystem:
         return tail
 
     def _pair_rule(self, hi, lo):
-        """Collection polynomial of the letters hi > lo, of weights p and q:
-        the exponent of each letter in [hi^a, lo^b] as sum c_ij C(a, i) C(b, j)
-        over i, j >= 1 with i p + j q <= n (module docstring).  The values
-        at the grid points (a, b) = (i, j) come from ring derivations; c_ij is
-        their Newton forward difference, the values on the axes being 0.
+        """Collection polynomial of the letters hi > lo, kept as (largest i,
+        largest j, the points (i, j), and per letter in ascending order its
+        nonzero (point index, c_ij) pairs): the class table's rule of their
+        Hall trees, derived on a miss, with its trees read as this engine's
+        letters (module docstring)."""
+        key = (self.n, self.letters[hi], self.letters[lo])
+        shared = _class_rules.get(key)
+        if shared is None:
+            shared = self._derive_rule(hi, lo)
+            with _class_lock:
+                shared = _class_rules.setdefault(key, shared)
+        top_a, top_b, points, terms = shared
+        index = self.index
+        rule = (top_a, top_b, points, tuple((index[t], cs) for t, cs in terms))
+        with self._lock:
+            self._rules[hi, lo] = rule
+        return rule
 
-        Kept as (largest i, largest j, the points (i, j), and per letter in
-        ascending order its nonzero (point index, c_ij) pairs)."""
+    def _derive_rule(self, hi, lo):
+        """Collection polynomial of the letters hi > lo, of weights p and q,
+        with its letters as Hall trees: the exponent of each letter in
+        [hi^a, lo^b] as sum c_ij C(a, i) C(b, j) over i, j >= 1 with
+        i p + j q <= n (module docstring).  The values at the grid points
+        (a, b) = (i, j) come from ring derivations; c_ij is their Newton
+        forward difference, the values on the axes being 0."""
         p, q, n = self.weights[hi], self.weights[lo], self.n
         ring = self.ring
         u, v = self.letter_poly(hi), self.letter_poly(lo)
@@ -322,11 +382,8 @@ class RuleSystem:
             for letter, c in acc.items():
                 if c:
                     coeffs.setdefault(letter, []).append((idx, c))
-        terms = tuple((letter, tuple(cs)) for letter, cs in sorted(coeffs.items()))
-        rule = (top_a, top_b, points, terms)
-        with self._lock:
-            self._rules[hi, lo] = rule
-        return rule
+        terms = tuple((self.letters[letter], tuple(cs)) for letter, cs in sorted(coeffs.items()))
+        return top_a, top_b, points, terms
 
     def collect(self, word, vec=None):
         """Normal-form exponents of ``vec`` (the identity by default) times a
@@ -378,6 +435,11 @@ def _binomials(x, top):
 
 _systems = {}
 _systems_lock = threading.Lock()
+# the class tables: letter ring elements keyed by (n, tree) and rules keyed by
+# (n, hi tree, lo tree), shared by the engines of every generator count
+_class_polys = {}
+_class_rules = {}
+_class_lock = threading.Lock()
 
 
 def rule_system(k, n, caps=None):

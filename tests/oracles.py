@@ -154,68 +154,79 @@ def hall_trees_exhaustive(k, n):
 
 
 # ---------------------------------------------------------------------------
-# a second, independently written Smith normal form (leftmost pivot, no
-# minimal-entry heuristic) plus invariants via determinant divisors
+# a second, independently written Smith normal form (alternating Hermite
+# reductions by extended gcd, no pivot search) plus invariants via
+# determinant divisors
+
+
+def _xgcd(a, b):
+    """(g, s, t) with g = s a + t b = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def _hermite_rows(a, ncols):
+    """Row echelon form of ``a`` in place: the pivot row clears each row
+    below it by subtraction when its entry divides the row's, else by a
+    unimodular 2 x 2 extended-gcd combination of the two rows; the entries
+    above each pivot are reduced modulo it, which keeps them small."""
+    r = 0
+    for c in range(ncols):
+        if r == len(a):
+            break
+        for i in range(r + 1, len(a)):
+            x, y = a[r][c], a[i][c]
+            if x and not y % x:
+                f = y // x
+                a[i] = [q - f * p for p, q in zip(a[r], a[i])]
+            elif y:
+                g, s, t = _xgcd(x, y)
+                u, v = x // g, y // g
+                top, row = a[r], a[i]
+                a[r] = [s * p + t * q for p, q in zip(top, row)]
+                a[i] = [u * q - v * p for p, q in zip(top, row)]
+        if a[r][c]:
+            if a[r][c] < 0:
+                a[r] = [-p for p in a[r]]
+            for i in range(r):
+                f = a[i][c] // a[r][c]
+                if f:
+                    a[i] = [p - f * q for p, q in zip(a[i], a[r])]
+            r += 1
 
 
 def snf_diagonal(mat):
-    """Diagonal of the Smith form, computed with leftmost-nonzero pivoting."""
-    a = [row[:] for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    diag = []
-    t = 0
-    while t < min(m, n):
-        # find any nonzero entry, leftmost column first
-        found = None
-        for j in range(t, n):
-            for i in range(t, m):
-                if a[i][j]:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
+    """Invariant factors (the nonzero Smith diagonal, in divisibility order):
+    row and column Hermite reductions alternate until each row and each
+    column holds at most one nonzero entry.  Each pass keeps the first
+    pivot's absolute value or lowers it to a gcd, and it stays only when the
+    pivot divides its row and column, so the alternation ends.  Adjacent
+    gcd/lcm pair fixes (valid on diagonal data) then sort the entries into a
+    divisibility chain."""
+    a = [list(row) for row in mat]
+    ncols = len(a[0]) if a else 0
+    while True:
+        _hermite_rows(a, ncols)
+        a = [list(col) for col in zip(*a)] if a else []
+        ncols = len(a[0]) if a else 0
+        if all(sum(1 for x in row if x) <= 1 for row in a) and all(
+            sum(1 for row in a if row[j]) <= 1 for j in range(ncols)
+        ):
             break
-        i0, j0 = found
-        a[t], a[i0] = a[i0], a[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
-        while True:
-            reduced = True
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    for j in range(t, n):
-                        a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        reduced = False
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for i in range(t, m):
-                        a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        reduced = False
-            if reduced:
-                break
-        diag.append(abs(a[t][t]))
-        t += 1
-    # repair divisibility by gcd/lcm pair fixes (valid on diagonal data)
+    diag = [abs(x) for row in a for x in row if x]
     changed = True
     while changed:
         changed = False
         for i in range(len(diag) - 1):
             x, y = diag[i], diag[i + 1]
-            if x and y and y % x:
+            if y % x:
                 g = gcd(x, y)
                 diag[i], diag[i + 1] = g, x * y // g
-                changed = True
-            if x == 0 and y != 0:
-                diag[i], diag[i + 1] = y, 0
                 changed = True
     return diag
 
@@ -490,7 +501,7 @@ def cokernel_by_snf_from_coords(coords, ambient):
 
 # ---------------------------------------------------------------------------
 # independent Moore-complex homology: same matrices, different linear algebra
-# (leftmost-pivot elimination and fraction solves instead of the package's
+# (Hermite reductions and fraction solves instead of the package's
 # minimal-pivot Smith machinery)
 
 

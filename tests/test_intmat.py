@@ -103,12 +103,13 @@ def _few_units_20(seed):
     + [pytest.param(_few_units_20(s), id=f"20x20-few-units-{s}") for s in range(3)],
 )
 def test_snf_larger_random_self_consistent(a):
-    # the leftmost-pivot oracle blows up at this size (the failure mode the
-    # minimal-pivot selection exists for), so check transpose invariance,
-    # the sparse route, the rational rank and, on a square input, the
-    # determinant instead
+    # factor by factor against the oracle's alternating Hermite reductions,
+    # which share no pivot choice with the least-entry loop, then transpose
+    # invariance, the sparse route, the rational rank and, on a square
+    # input, the determinant
     started = time.process_time()
     facs = check_snf(a)
+    assert oracles.snf_diagonal(a) == facs
     assert check_snf(intmat.transpose(a)) == facs
     assert intmat.sparse_invariant_factors(sparse(a)) == facs
     assert time.process_time() - started < 2

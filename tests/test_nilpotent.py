@@ -358,11 +358,21 @@ def _count_calls(obj, name, log):
     setattr(obj, name, counted)
 
 
-def test_one_rule_per_letter_pair():
+def _empty_class_tables(monkeypatch):
+    """Start from empty class tables, so that every rule is derived afresh."""
+    monkeypatch.setattr(nilpotent, "_class_polys", {})
+    monkeypatch.setattr(nilpotent, "_class_rules", {})
+
+
+def test_one_rule_per_letter_pair(monkeypatch):
+    # on empty class tables each rule is derived once, in the ring, with
+    # one extraction per grid point; rules kept in the tables by earlier
+    # engines would be mapped instead, with no extraction
+    _empty_class_tables(monkeypatch)
     rng = random.Random(12)
     sys = RuleSystem(3, 4)
     built, extracted = [], []
-    _count_calls(sys, "_pair_rule", built)
+    _count_calls(sys, "_derive_rule", built)
     _count_calls(sys, "extract", extracted)
     exps = [-10**5, -7, -1, 1, 2, 3, 10**5]
     for _ in range(40):
@@ -386,6 +396,94 @@ def test_one_rule_per_letter_pair():
         sys.block_tail(hi, a, lo, b)
     assert len(extracted) - before == len(rule[2])
     assert sys._rules[hi, lo] is rule and built.count((hi, lo)) == 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_engines_of_one_class_share_rules(n, monkeypatch):
+    # engines k = 2..5 built in ascending order: engine k + 1 derives no
+    # ring rule for a tree pair an earlier engine derived, and maps it
+    # from the class table instead
+    _empty_class_tables(monkeypatch)
+    rng = random.Random(53 * n)
+    exps = (-10**4, -2, -1, 1, 3)
+    derived_trees, engines = set(), []
+    for k in range(2, 6):
+        sys = RuleSystem(k, n)
+        derived = []
+        _count_calls(sys, "_derive_rule", derived)
+        for _ in range(12):
+            sys.collect([(rng.randrange(k), rng.choice(exps)) for _ in range(6 - n // 2)])
+        trees = {(sys.letters[hi], sys.letters[lo]) for hi, lo in derived}
+        assert len(trees) == len(derived) and not trees & derived_trees
+        mapped = set(sys._rules) - set(derived)
+        assert k == 2 or mapped
+        derived_trees |= trees
+        engines.append((sys, mapped))
+    # each mapped rule and each letter ring element equals a fresh
+    # derivation by an engine of the same generator count
+    for sys, mapped in engines:
+        _empty_class_tables(monkeypatch)
+        fresh = RuleSystem(sys.k, n)
+        derived = []
+        _count_calls(fresh, "_derive_rule", derived)
+        for hi, lo in mapped:
+            assert fresh._pair_rule(hi, lo) == sys._rules[hi, lo]
+        assert len(derived) == len(mapped)
+        assert all(fresh.letter_poly(i) == p for i, p in sys._poly.items())
+
+
+def test_extract_peels_the_top_weight_linearly():
+    # 1 + a random combination of the 624 weight-5 letters at (5, 5): every
+    # weight passes n / 2, so no peel needs a ring product
+    rng = random.Random(55)
+    sys = RuleSystem(5, 5)
+    top = sys.letters_of_weight(5)
+    want = [0] * sys.rank
+    poly = {(): 1}
+    for i in top:
+        want[i] = e = rng.randint(-(10**3), 10**3)
+        for m, c in sys.letter_poly(i).items():
+            if m:
+                poly[m] = poly.get(m, 0) + e * c
+    poly = {m: c for m, c in poly.items() if c}
+    mul = []
+    _count_calls(sys.ring, "mul", mul)
+    started = time.process_time()
+    assert sys.extract(poly) == want
+    assert time.process_time() - started < 2
+    assert mul == []
+
+
+def test_concurrent_engines_of_one_class_match_a_sequential_run(monkeypatch):
+    # workers collect at once on the engines (3, 4) and (4, 4), which derive
+    # into and map from one class table; a short switch interval makes the
+    # threads interleave inside rule derivation
+    from concurrent.futures import ThreadPoolExecutor
+    from sys import getswitchinterval, setswitchinterval
+
+    def work(seed):
+        rng = random.Random(seed)
+        out = []
+        for j in range(30):
+            k = 3 + (seed + j) % 2
+            u = collect(random_word(rng, k, syllables=4), k, 4)
+            assert nil_multiply(u, nil_inverse(u)).is_identity
+            out.append(u.exponents)
+        return out
+
+    seeds = range(4)
+    monkeypatch.setattr(nilpotent, "_systems", {})
+    _empty_class_tables(monkeypatch)
+    interval = getswitchinterval()
+    setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(work, seeds, timeout=60))
+    finally:
+        setswitchinterval(interval)
+    monkeypatch.setattr(nilpotent, "_systems", {})
+    _empty_class_tables(monkeypatch)
+    assert results == [work(seed) for seed in seeds]
 
 
 def test_commuting_pairs_build_nothing():

@@ -396,11 +396,12 @@ def test_comparison_refused_before_any_engine_is_built():
     from loopnil import nilpotent
     from loopnil.errors import CapExceeded
 
-    before = set(nilpotent._systems)
+    # nor any rule or letter ring element added to the class tables
+    before = set(nilpotent._systems), set(nilpotent._class_rules), set(nilpotent._class_polys)
     lay = layer(loop_group(moore_space(3, 2)), 3)
     with pytest.raises(CapExceeded, match="free class-3 group on 18 generators"):
         lay.comparison_ok(3)
-    assert set(nilpotent._systems) == before
+    assert (set(nilpotent._systems), set(nilpotent._class_rules), set(nilpotent._class_polys)) == before
 
 
 def test_comparison_reads_only_the_loop_group_caps(monkeypatch):
@@ -410,6 +411,7 @@ def test_comparison_reads_only_the_loop_group_caps(monkeypatch):
     from loopnil import nilpotent
     from loopnil.caps import ENV_MAX_HALL_RANK, Caps
 
+    # the class tables keep no caps, so they are left as they are
     monkeypatch.setattr(nilpotent, "_systems", {})
     monkeypatch.setenv(ENV_MAX_HALL_RANK, "5")
     assert layer(loop_group(sphere(2), Caps(max_hall_rank=100)), 2).comparison_ok(3)
