@@ -30,20 +30,16 @@ when a = 0 or b = 0.  Hence one rule per letter pair, interpolated from the
 grid i, j >= 1, i p + j q <= n, serves every exponent pair; letters with
 p + q > n commute and need none.
 
-One rule per class (restriction and retraction).  For k <= K let i be the
-homomorphism of free class-n groups on k and on K generators with x_j -> x_j,
-and r the retraction with x_j -> x_j for j <= k and x_j -> 1 above, so r i = 1.
-A Hall tree over k is a Hall tree over K, i sends its letter to the same
-letter, and Hall sets restrict to sub-alphabets in the same order (Reutenauer,
-Free Lie Algebras, ch. 4), so i sends a normal form to a normal form; r sends a
-letter with a leaf above k to 1 (a commutator with a trivial entry) and the
-others to themselves, so r sends a normal form to a normal form too.  By
-uniqueness of normal forms the normal form of [u^a, v^b] over K is the one over
-k, for every k that holds the leaves of u and v.  So a rule, written on Hall
-trees, depends only on (u, v, n), and so does a letter's ring element, which
-involves only the X_i of its leaves.  The engines of one class share both,
-keyed by Hall trees; an engine maps a rule's trees to its own letters, an
-order-keeping map because its Hall basis keeps the larger one's order.
+One rule per pattern (relabeling).  A rule's pattern is its two Hall trees
+with the leaves of both renumbered 1..m in order.  An order-keeping injection
+of generators {1..m} -> {1..K} sends Hall trees to Hall trees in the same
+tree order (Reutenauer, Free Lie Algebras, ch. 4), so the homomorphism i of
+free class-n groups it induces sends a normal form to a normal form; by
+uniqueness the normal form of [i u^a, i v^b] is i of that of [u^a, v^b].  So a
+rule depends only on (n, pattern), and is derived once, on the pattern's own
+letters, which every engine on k >= m generators holds.  An engine maps the
+rule's trees back through i to its letters, in the same order.  A letter's
+ring element is kept once per (n, tree).
 
 Linear peel.  When 2 w > n and g - 1 has no terms below degree w, let
 x_1^e_1 ... x_m^e_m be the weight-w letters read off g.  Every term of
@@ -182,14 +178,15 @@ class RuleSystem:
     The bound holds because hi^a - 1 = sum_i C(a, i) (hi - 1)^i and
     (hi - 1)^i starts in degree i p in the truncated ring (module docstring).
     A rule is built on the pair's first use and serves every exponent pair;
-    pairs with p + q > n commute and get none.  Rules and letter ring
-    elements are kept once per class, keyed by Hall trees, for the engines
-    of every generator count (module docstring); each engine keeps its own
-    view of them by letter index.
+    pairs with p + q > n commute and get none.  The engines of every
+    generator count share one table per class of rules, keyed by pattern
+    (the two trees with their leaves renumbered 1..m in order), and of
+    letter ring elements, keyed by Hall tree (module docstring); each engine
+    keeps its own view of the rules by letter index.
 
     Built through :func:`rule_system`, which checks the total-rank cap.
     After construction the caches, the class tables among them (at most one
-    rule per letter pair), only grow monotonically under locks, so concurrent
+    rule per pattern), only grow monotonically under locks, so concurrent
     readers are safe.
     """
 
@@ -334,17 +331,22 @@ class RuleSystem:
         """Collection polynomial of the letters hi > lo, kept as (largest i,
         largest j, the points (i, j), and per letter in ascending order its
         nonzero (point index, c_ij) pairs): the class table's rule of their
-        Hall trees, derived on a miss, with its trees read as this engine's
+        pattern, derived on a miss, with its trees relabeled to this engine's
         letters (module docstring)."""
-        key = (self.n, self.letters[hi], self.letters[lo])
+        u, v = self.letters[hi], self.letters[lo]
+        up = sorted(_leaves(u) | _leaves(v))
+        down = {x: j for j, x in enumerate(up, 1)}
+        pu, pv = _relabel(u, down), _relabel(v, down)
+        key = (self.n, pu, pv)
         shared = _class_rules.get(key)
         if shared is None:
-            shared = self._derive_rule(hi, lo)
+            shared = self._derive_rule(self.index[pu], self.index[pv])
             with _class_lock:
                 shared = _class_rules.setdefault(key, shared)
         top_a, top_b, points, terms = shared
+        back = dict(enumerate(up, 1))
         index = self.index
-        rule = (top_a, top_b, points, tuple((index[t], cs) for t, cs in terms))
+        rule = (top_a, top_b, points, tuple((index[_relabel(t, back)], cs) for t, cs in terms))
         with self._lock:
             self._rules[hi, lo] = rule
         return rule
@@ -425,6 +427,16 @@ class RuleSystem:
         return vec
 
 
+def _leaves(t):
+    """The set of generators at the leaves of a Hall tree."""
+    return {t} if isinstance(t, int) else _leaves(t[0]) | _leaves(t[1])
+
+
+def _relabel(t, f):
+    """A Hall tree with each leaf x replaced by f[x]."""
+    return f[t] if isinstance(t, int) else (_relabel(t[0], f), _relabel(t[1], f))
+
+
 def _binomials(x, top):
     """[C(x, 0), ..., C(x, top)] for any integer x."""
     out = [1]
@@ -436,7 +448,7 @@ def _binomials(x, top):
 _systems = {}
 _systems_lock = threading.Lock()
 # the class tables: letter ring elements keyed by (n, tree) and rules keyed by
-# (n, hi tree, lo tree), shared by the engines of every generator count
+# (n, hi pattern, lo pattern), shared by the engines of every generator count
 _class_polys = {}
 _class_rules = {}
 _class_lock = threading.Lock()

@@ -364,10 +364,45 @@ def _empty_class_tables(monkeypatch):
     monkeypatch.setattr(nilpotent, "_class_rules", {})
 
 
+def _leaf_set(tree):
+    if isinstance(tree, int):
+        return {tree}
+    return _leaf_set(tree[0]) | _leaf_set(tree[1])
+
+
+def _pattern(sys, hi, lo):
+    """The trees of the letters hi and lo with the leaves of both renumbered
+    1..m, keeping their order."""
+    u, v = sys.letters[hi], sys.letters[lo]
+    rank = {x: j for j, x in enumerate(sorted(_leaf_set(u) | _leaf_set(v)), 1)}
+
+    def relabel(t):
+        return rank[t] if isinstance(t, int) else (relabel(t[0]), relabel(t[1]))
+
+    return relabel(u), relabel(v)
+
+
+def _is_pattern(sys, hi, lo):
+    leaves = _leaf_set(sys.letters[hi]) | _leaf_set(sys.letters[lo])
+    return leaves == set(range(1, len(leaves) + 1))
+
+
+def _commuting(sys, hi, lo):
+    return sys.weights[hi] + sys.weights[lo] > sys.n
+
+
+def _fresh_rule(sys, hi, lo):
+    """The rule of the letters hi > lo derived in the ring on the pair itself,
+    with its trees read as the engine's letters."""
+    top_a, top_b, points, terms = sys._derive_rule(hi, lo)
+    return top_a, top_b, points, tuple((sys.index[t], cs) for t, cs in terms)
+
+
 def test_one_rule_per_letter_pair(monkeypatch):
-    # on empty class tables each rule is derived once, in the ring, with
-    # one extraction per grid point; rules kept in the tables by earlier
-    # engines would be mapped instead, with no extraction
+    # on empty class tables each engine keeps one rule per letter pair, but
+    # derives one only per pattern, on the pattern's own letters, with one
+    # extraction per grid point; a pair whose pattern is held is mapped with
+    # no extraction
     _empty_class_tables(monkeypatch)
     rng = random.Random(12)
     sys = RuleSystem(3, 4)
@@ -377,59 +412,154 @@ def test_one_rule_per_letter_pair(monkeypatch):
     exps = [-10**5, -7, -1, 1, 2, 3, 10**5]
     for _ in range(40):
         sys.collect([(rng.randrange(sys.rank), rng.choice(exps)) for _ in range(8)])
-    assert built and len(built) == len(set(built)) == len(sys._rules)
-    assert set(built) == set(sys._rules)
-    assert all(sys.weights[hi] + sys.weights[lo] <= sys.n for hi, lo in built)
-    assert len(extracted) == sum(len(rule[2]) for rule in sys._rules.values())
-    # a fresh pair: one extraction per grid point, then none for any exponents
+    assert built and all(_is_pattern(sys, hi, lo) for hi, lo in built)
+    assert not any(_commuting(sys, hi, lo) for hi, lo in built)
+    patterns = [(sys.letters[hi], sys.letters[lo]) for hi, lo in built]
+    assert len(set(patterns)) == len(patterns) == len(nilpotent._class_rules)
+    assert {_pattern(sys, hi, lo) for hi, lo in sys._rules} == set(patterns)
+    assert len(built) < len(sys._rules)
+    grid = {pair: len(nilpotent._class_rules[(sys.n, *pair)][2]) for pair in patterns}
+    assert len(extracted) == sum(grid.values())
+    # a fresh pair whose pattern is held costs no extraction
+    held = next(
+        (hi, lo)
+        for hi in range(sys.rank)
+        for lo in range(hi)
+        if not _commuting(sys, hi, lo) and (hi, lo) not in sys._rules
+        and not _is_pattern(sys, hi, lo) and _pattern(sys, hi, lo) in grid
+    )
+    before = len(extracted), len(built)
+    sys.block_tail(held[0], 10**5, held[1], -10**5)
+    assert (len(extracted), len(built)) == before
+    # a fresh pattern: one extraction per grid point, then none for any exponents
     hi, lo = next(
         (hi, lo)
         for hi in range(sys.rank)
         for lo in range(hi)
-        if sys.weights[hi] + sys.weights[lo] <= sys.n and (hi, lo) not in sys._rules
+        if not _commuting(sys, hi, lo) and _pattern(sys, hi, lo) not in grid
     )
-    before = len(extracted)
     sys.block_tail(hi, 1, lo, 1)
     rule = sys._rules[hi, lo]
-    assert len(extracted) - before == len(rule[2])
+    assert len(built) == before[1] + 1 and _is_pattern(sys, *built[-1])
+    assert len(extracted) - before[0] == len(rule[2])
     for a, b in [(5, -3), (-10**5, 2), (10**5, 10**5), (0, 7)]:
         sys.block_tail(hi, a, lo, b)
-    assert len(extracted) - before == len(rule[2])
-    assert sys._rules[hi, lo] is rule and built.count((hi, lo)) == 1
+    assert len(extracted) - before[0] == len(rule[2])
+    assert sys._rules[hi, lo] is rule and len(built) == before[1] + 1
+    # every rule the engine holds equals a derivation on its own pair
+    rules = dict(sys._rules)
+    _empty_class_tables(monkeypatch)
+    assert all(_fresh_rule(sys, hi, lo) == rule for (hi, lo), rule in rules.items())
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_engines_of_one_class_share_rules(n, monkeypatch):
-    # engines k = 2..5 built in ascending order: engine k + 1 derives no
-    # ring rule for a tree pair an earlier engine derived, and maps it
-    # from the class table instead
+    # engines k = 2..5 built in ascending order derive only on patterns, and
+    # no pattern twice: engine k + 1 maps a rule whose pattern an earlier
+    # engine derived from the class table, with no extraction
     _empty_class_tables(monkeypatch)
     rng = random.Random(53 * n)
     exps = (-10**4, -2, -1, 1, 3)
-    derived_trees, engines = set(), []
+    derived_patterns, engines = set(), []
     for k in range(2, 6):
         sys = RuleSystem(k, n)
-        derived = []
+        derived, extracted = [], []
         _count_calls(sys, "_derive_rule", derived)
+        _count_calls(sys, "extract", extracted)
         for _ in range(12):
             sys.collect([(rng.randrange(k), rng.choice(exps)) for _ in range(6 - n // 2)])
-        trees = {(sys.letters[hi], sys.letters[lo]) for hi, lo in derived}
-        assert len(trees) == len(derived) and not trees & derived_trees
-        mapped = set(sys._rules) - set(derived)
+        assert all(_is_pattern(sys, hi, lo) for hi, lo in derived)
+        patterns = {(sys.letters[hi], sys.letters[lo]) for hi, lo in derived}
+        assert len(patterns) == len(derived) and not patterns & derived_patterns
+        held = {_pattern(sys, hi, lo) for hi, lo in sys._rules}
+        assert held <= patterns | derived_patterns
+        grid = sum(len(nilpotent._class_rules[(n, *pair)][2]) for pair in patterns)
+        assert len(extracted) == grid
+        mapped = [pair for pair in sys._rules if _pattern(sys, *pair) in derived_patterns]
         assert k == 2 or mapped
-        derived_trees |= trees
-        engines.append((sys, mapped))
-    # each mapped rule and each letter ring element equals a fresh
-    # derivation by an engine of the same generator count
-    for sys, mapped in engines:
+        derived_patterns |= patterns
+        engines.append(sys)
+    assert len(nilpotent._class_rules) == len(derived_patterns)
+    # each rule and each letter ring element equals a fresh derivation, on
+    # the letter pair itself, by the engine's own ring
+    for sys in engines:
+        rules, polys = dict(sys._rules), dict(sys._poly)
         _empty_class_tables(monkeypatch)
+        assert all(_fresh_rule(sys, hi, lo) == rule for (hi, lo), rule in rules.items())
         fresh = RuleSystem(sys.k, n)
-        derived = []
-        _count_calls(fresh, "_derive_rule", derived)
-        for hi, lo in mapped:
-            assert fresh._pair_rule(hi, lo) == sys._rules[hi, lo]
-        assert len(derived) == len(mapped)
-        assert all(fresh.letter_poly(i) == p for i, p in sys._poly.items())
+        assert all(fresh.letter_poly(i) == p for i, p in polys.items())
+
+
+@pytest.mark.parametrize("k,n", [(6, 4), (5, 5)])
+def test_relabeled_rules_match_direct_derivation(k, n, monkeypatch):
+    # pairs whose leaves are not 1..m get their rule from a derivation on
+    # their pattern, relabeled; it must give the tails of the pair itself
+    _empty_class_tables(monkeypatch)
+    rng = random.Random(89 * k + n)
+    sys = RuleSystem(k, n)
+    built = []
+    _count_calls(sys, "_derive_rule", built)
+    pairs = [
+        (hi, lo)
+        for hi in range(sys.rank)
+        for lo in range(hi)
+        if not _commuting(sys, hi, lo) and not _is_pattern(sys, hi, lo)
+    ]
+    chosen = rng.sample(pairs, 8) + [pairs[0], pairs[-1]]
+    for hi, lo in chosen:
+        for a, b in [(10**5, -10**5), (-10**5, 3), (rng.randint(-6, 6), 10**5)]:
+            assert sys.block_tail(hi, a, lo, b) == _direct_tail(sys, hi, a, lo, b), (hi, a, lo, b)
+    assert built and all(_is_pattern(sys, hi, lo) for hi, lo in built)
+
+
+@pytest.mark.parametrize(
+    "k,n,rules",
+    [(3, 3, 6), (4, 3, 6), (5, 3, 6), (6, 3, 6), (3, 4, 25), (4, 4, 36), (5, 4, 36), (6, 4, 36)],
+)
+def test_a_class_table_holds_one_rule_per_pattern(k, n, rules, monkeypatch):
+    # every non-commuting letter pair of the engine, on empty class tables:
+    # the table ends with one rule per pattern on at most min(k, 2 n) leaves
+    _empty_class_tables(monkeypatch)
+    sys = RuleSystem(k, n)
+    built = []
+    _count_calls(sys, "_derive_rule", built)
+    for hi in range(sys.rank):
+        for lo in range(hi):
+            sys.block_tail(hi, 1, lo, 1)
+    assert len(built) == len(set(built)) == len(nilpotent._class_rules) == rules
+    assert all(_is_pattern(sys, hi, lo) for hi, lo in built)
+
+
+def test_concurrent_engines_of_one_class_match_a_sequential_run(monkeypatch):
+    # workers collect at once on the engines (3, 4), (4, 4) and (6, 4), which
+    # derive patterns into and map them from one class table; a short switch
+    # interval makes the threads interleave inside rule derivation
+    from concurrent.futures import ThreadPoolExecutor
+    from sys import getswitchinterval, setswitchinterval
+
+    def work(seed):
+        rng = random.Random(seed)
+        out = []
+        for j in range(30):
+            k = (3, 4, 6)[(seed + j) % 3]
+            u = collect(random_word(rng, k, syllables=4), k, 4)
+            assert nil_multiply(u, nil_inverse(u)).is_identity
+            out.append(u.exponents)
+        return out
+
+    seeds = range(4)
+    monkeypatch.setattr(nilpotent, "_systems", {})
+    _empty_class_tables(monkeypatch)
+    interval = getswitchinterval()
+    setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(work, seeds, timeout=60))
+    finally:
+        setswitchinterval(interval)
+    monkeypatch.setattr(nilpotent, "_systems", {})
+    _empty_class_tables(monkeypatch)
+    assert results == [work(seed) for seed in seeds]
 
 
 def test_extract_peels_the_top_weight_linearly():
@@ -452,38 +582,6 @@ def test_extract_peels_the_top_weight_linearly():
     assert sys.extract(poly) == want
     assert time.process_time() - started < 2
     assert mul == []
-
-
-def test_concurrent_engines_of_one_class_match_a_sequential_run(monkeypatch):
-    # workers collect at once on the engines (3, 4) and (4, 4), which derive
-    # into and map from one class table; a short switch interval makes the
-    # threads interleave inside rule derivation
-    from concurrent.futures import ThreadPoolExecutor
-    from sys import getswitchinterval, setswitchinterval
-
-    def work(seed):
-        rng = random.Random(seed)
-        out = []
-        for j in range(30):
-            k = 3 + (seed + j) % 2
-            u = collect(random_word(rng, k, syllables=4), k, 4)
-            assert nil_multiply(u, nil_inverse(u)).is_identity
-            out.append(u.exponents)
-        return out
-
-    seeds = range(4)
-    monkeypatch.setattr(nilpotent, "_systems", {})
-    _empty_class_tables(monkeypatch)
-    interval = getswitchinterval()
-    setswitchinterval(1e-5)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(work, seeds, timeout=60))
-    finally:
-        setswitchinterval(interval)
-    monkeypatch.setattr(nilpotent, "_systems", {})
-    _empty_class_tables(monkeypatch)
-    assert results == [work(seed) for seed in seeds]
 
 
 def test_commuting_pairs_build_nothing():
