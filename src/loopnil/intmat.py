@@ -1,11 +1,12 @@
 """Exact linear algebra over the integers.
 
-Matrices are plain ``list[list[int]]`` with Python's arbitrary-precision
-integers; a matrix with zero rows or columns is represented with explicit
-shape arguments where needed.  Invariant factors take one route, and no
-transform is kept anywhere on it: ``sparse_invariant_factors`` eliminates
-unit pivots over ``{col: value}`` rows, then hands the residue without unit
-entries to the dense core ``smith_normal_form``.  The dense core always
+The package's matrices are ``{col: value}`` rows of nonzero entries over
+Python's arbitrary-precision integers.  Dense ``list[list[int]]`` matrices
+appear only in the Smith residue and in :func:`dense_rows`, the converter
+behind the package's two dense views.  Invariant factors take one route,
+and no transform is kept anywhere on it: ``sparse_invariant_factors``
+eliminates unit pivots over ``{col: value}`` rows, then hands the residue
+without unit entries to the dense core ``smith_normal_form``.  The dense core always
 pivots on an entry of least absolute value.  Every remainder it leaves is
 smaller still, so each pass either splits off a factor or shrinks the
 pivot, and the multipliers stay small: coefficient growth is the known
@@ -14,24 +15,6 @@ failure mode of integer elimination (Kannan and Bachem, SIAM J. Comput. 8,
 """
 
 from math import gcd
-
-
-def shape(a, ncols=None):
-    m = len(a)
-    if m:
-        return m, len(a[0])
-    if ncols is None:
-        return 0, 0
-    return 0, ncols
-
-
-def zeros(m, n):
-    return [[0] * n for _ in range(m)]
-
-
-def transpose(a, ncols=None):
-    m, n = shape(a, ncols)
-    return [[a[i][j] for i in range(m)] for j in range(n)]
 
 
 def smith_normal_form(a):
@@ -79,7 +62,7 @@ def smith_normal_form(a):
 def dense_rows(rows, ncols):
     """The matrix with ``ncols`` columns whose rows are the ``{col: value}``
     dicts ``rows``."""
-    out = zeros(len(rows), ncols)
+    out = [[0] * ncols for _ in rows]
     for dense, row in zip(out, rows):
         for j, x in row.items():
             dense[j] = x

@@ -55,7 +55,6 @@ from operator import itemgetter
 import threading
 from dataclasses import dataclass
 
-from . import intmat
 from .caps import current_caps, decimal
 from .errors import InternalInvariantError, LoopnilError
 from .hall import capped_hall_rank, hall_basis, normalize_tree, total_hall_rank, tree_str, witt_rank
@@ -665,17 +664,16 @@ def projection_hom(s, k, n):
     return NilpotentHom(1, k, n, (generator_element(k, n, s),))
 
 
-def hom_from_matrix(mat, n, src_k=None, tgt_k=None):
-    """Homomorphism sending generator j to the product of generator powers
-    given by column j (used for permutations and collapse maps)."""
-    tgt = len(mat) if tgt_k is None else tgt_k
-    src = src_k if src_k is not None else (len(mat[0]) if mat else 0)
-    caps = current_caps()
-    images = []
-    for j in range(src):
-        word = [(i + 1, mat[i][j]) for i in range(tgt) if mat[i][j]]
-        images.append(collect(word, tgt, n, caps))
-    return NilpotentHom(src, tgt, n, tuple(images))
+def hom_from_words(words, tgt_k, n, caps):
+    """Homomorphism sending source generator j + 1 to the normal form of
+    ``words[j]``, a word of (0-based target generator, exponent) pairs: the
+    format of ``LoopGroup.map_words``.  Both engines are resolved under
+    ``caps``, the source's too, because :func:`layer_matrix` and
+    :func:`apply_hom` look it up without caps."""
+    rule_system(len(words), n, caps)
+    engine = rule_system(tgt_k, n, caps)
+    images = tuple(NilpotentElement(tgt_k, n, tuple(engine.collect(w))) for w in words)
+    return NilpotentHom(len(words), tgt_k, n, images)
 
 
 def _tree_image(f, tree, memo):
@@ -713,15 +711,20 @@ def compose_homs(g, f):
 
 
 def layer_matrix(f, w):
-    """Matrix of the weight-w layer map induced by ``f``: columns are images
-    of the source weight-w Hall letters, computed by collection."""
+    """The weight-w layer map induced by ``f``, computed by collection, as
+    ``{col: value}`` rows of nonzero entries in the format of
+    :func:`hall.lie_rows`: one row per target weight-w Hall letter and one
+    column per source weight-w Hall letter."""
     src_sys = rule_system(f.src_k, f.n)
+    letters = src_sys.letters_of_weight(w)  # refuses a bad weight before rows are sized
     memo = {}
-    cols = []
-    for i in src_sys.letters_of_weight(w):
+    rows = [{} for _ in range(witt_rank(f.tgt_k, w))]
+    for j, i in enumerate(letters):
         img = _tree_image(f, src_sys.letters[i], memo)
         low = img.lowest_weight()
         if low is not None and low < w:
             raise InternalInvariantError("layer image dropped below its weight")
-        cols.append(img.weight_slice(w))
-    return intmat.transpose(cols, ncols=witt_rank(f.tgt_k, w))
+        for row, e in zip(rows, img.weight_slice(w)):
+            if e:
+                row[j] = e
+    return rows

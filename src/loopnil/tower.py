@@ -9,19 +9,11 @@ delooped object.
 
 import math
 
-from . import intmat
 from .caps import current_caps
 from .errors import InternalInvariantError, LoopnilError
-from .hall import hall_basis, lie_of_map, lie_rows, subalphabet_trees, witt_rank
+from .hall import hall_basis, lie_rows, subalphabet_trees, witt_rank
 from .linearize import SimplicialAbelianGroup, moore_homology
-from .nilpotent import (
-    NilpotentElement,
-    NilpotentHom,
-    _check_rank,
-    invert_free_word,
-    layer_matrix,
-    rule_system,
-)
+from .nilpotent import _check_rank, hom_from_words, invert_free_word, layer_matrix
 from .nilq import nilpotent_quotient
 from .simplicial import require_valid
 
@@ -111,21 +103,6 @@ loop_group = LoopGroup
 
 
 # ---------------------------------------------------------------------------
-# abelianized loop group (layer 1: the degree-shifted reduced chains)
-
-
-def abelianized_matrix(group, q, i, kind):
-    """Integer matrix of d_i (kind 'face') or s_i (kind 'degeneracy') on the
-    degreewise abelianization of the loop group."""
-    target, words = group.map_words(q, i, kind)
-    out = intmat.zeros(group.gen_count(target), len(words))
-    for j, word in enumerate(words):
-        for g, e in word:
-            out[g][j] += e
-    return out
-
-
-# ---------------------------------------------------------------------------
 # tower stages
 
 
@@ -142,16 +119,9 @@ class SimplicialGroupTower:
 
     def _hom(self, q, i, kind):
         """d_i or s_i out of degree q, each generator's word collected by the
-        target's engine; loop-group words use only the target's letters.
-        The source's engine is resolved under the same caps, because
-        ``layer_matrix`` and ``apply_hom`` look it up without caps."""
-        group, n = self.group, self.n
-        target, words = group.map_words(q, i, kind)
-        k, caps = group.gen_count(target), group.caps
-        rule_system(len(words), n, caps)
-        engine = rule_system(k, n, caps)
-        images = tuple(NilpotentElement(k, n, tuple(engine.collect(w))) for w in words)
-        return NilpotentHom(len(words), k, n, images)
+        target's engine under the loop group's caps."""
+        target, words = self.group.map_words(q, i, kind)
+        return hom_from_words(words, self.group.gen_count(target), self.n, self.group.caps)
 
     def face_hom(self, q, i):
         return self._hom(q, i, "face")
@@ -186,9 +156,9 @@ def pi0(stage):
 class LayerObject:
     """The weight-n graded piece of the tower, computed two ways per map:
     by collection in the degreewise free nilpotent groups, and by applying
-    the weight-n Lie functor to the abelianized matrices.  The comparison
-    map is the identity on the shared Hall-letter bases.  Caps are the loop
-    group's."""
+    the weight-n Lie functor to the map's words (``LoopGroup.map_words``),
+    both as ``{col: value}`` rows.  The comparison map is the identity on
+    the shared Hall-letter bases.  Caps are the loop group's."""
 
     def __init__(self, group, n):
         if n < 1:
@@ -225,8 +195,8 @@ class LayerObject:
         maps += [(q, i, "degeneracy") for q in range(max_degree) for i in range(q + 1)]
 
         def lie_route(q, i, kind):
-            mat = abelianized_matrix(self.group, q, i, kind)
-            return lie_of_map(mat, self.n, self.group.gen_count(q), len(mat))
+            target, words = self.group.map_words(q, i, kind)
+            return lie_rows(words, self.n, self.group.gen_count(target))
 
         return all(layer_matrix(stage._hom(*m), self.n) == lie_route(*m) for m in maps)
 

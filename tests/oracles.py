@@ -90,6 +90,18 @@ def loop_group_identity_violations(group, max_degree):
     return bad
 
 
+def abelianized_matrix(group, q, i, kind):
+    """Dense integer matrix of d_i (kind 'face') or s_i (kind 'degeneracy')
+    on the degreewise abelianization of a loop group, rows indexing the
+    target: each generator's word summed into its column."""
+    target, words = group.map_words(q, i, kind)
+    out = [[0] * len(words) for _ in range(group.gen_count(target))]
+    for j, word in enumerate(words):
+        for g, e in word:
+            out[g][j] += e
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Witt ranks by brute-force necklace counting (no Moebius function)
 
@@ -291,6 +303,30 @@ def cokernel_by_snf(mat):
     diag = snf_diagonal(mat)
     nonzero = [d for d in diag if d]
     return m - len(nonzero), [d for d in nonzero if d > 1]
+
+
+def shape(a, ncols=None):
+    """(rows, columns) of a dense matrix; one without rows has ``ncols``."""
+    return len(a), len(a[0]) if a else (ncols or 0)
+
+
+def transpose(a, ncols=None):
+    """Transpose of a dense matrix; one without rows has ``ncols`` columns."""
+    m, n = shape(a, ncols)
+    return [[a[i][j] for i in range(m)] for j in range(n)]
+
+
+def word_columns(mat):
+    """The columns of a dense matrix (rows index the target) as words of
+    nonzero (0-based target, coefficient) pairs, the format of
+    ``LoopGroup.map_words``."""
+    return [tuple((i, row[j]) for i, row in enumerate(mat) if row[j]) for j in range(len(mat[0]))]
+
+
+def nonzero_rows_below(rows, ncols):
+    """Whether every ``{col: value}`` row holds only nonzero entries, in
+    columns 0..ncols - 1."""
+    return all(x and 0 <= j < ncols for row in rows for j, x in row.items())
 
 
 def matmul(a, b, cols):

@@ -12,12 +12,13 @@ import time
 
 from loopnil.abelian import AbelianInvariants
 from loopnil.cli import run_command
-from loopnil.hall import cross_effect_kernel, hall_basis, lie_of_map, witt_rank
+from loopnil.caps import current_caps
+from loopnil.hall import cross_effect_kernel, hall_basis, lie_of_map, lie_rows, witt_rank
 from loopnil.hall import total_hall_rank as tower_rank
 from loopnil.nilpotent import (
     collect,
     graded_layer,
-    hom_from_matrix,
+    hom_from_words,
     layer_matrix,
     nil_inverse,
     nil_multiply,
@@ -27,7 +28,6 @@ from loopnil.nilpotent import (
 from loopnil.nilq import free_nilpotent_layers
 from loopnil.simplicial import moore_space, sphere, wedge, wedge_of_circles
 from loopnil.tower import (
-    abelianized_matrix,
     layer,
     layer_homotopy,
     loop_group,
@@ -72,9 +72,12 @@ def test_accept_pbw_layers_and_permutations():
                     assert rule_system(k, n).letters[letter] == tree
             for perm in itertools.permutations(range(k)):
                 mat = [[1 if perm[j] == i else 0 for j in range(k)] for i in range(k)]
-                f = hom_from_matrix(mat, n)
+                cols = oracles.word_columns(mat)
+                f = hom_from_words(cols, k, n, current_caps())
                 for w in range(1, n + 1):
-                    assert layer_matrix(f, w) == lie_of_map(mat, w, src_k=k, tgt_k=k)
+                    grp = layer_matrix(f, w)
+                    assert grp == lie_rows(cols, w, k)
+                    assert oracles.nonzero_rows_below(grp, witt_rank(k, w))
     _announce("pbw-layers-permutations", started, 5)
 
 
@@ -169,7 +172,7 @@ def test_accept_curtis_probe():
 
         def face_fn(q, i):
             return lie_of_map(
-                abelianized_matrix(g, q, i, "face"),
+                oracles.abelianized_matrix(g, q, i, "face"),
                 n,
                 src_k=g.gen_count(q),
                 tgt_k=g.gen_count(q - 1),

@@ -263,9 +263,16 @@ def test_console_entry_point_subprocess():
     assert json.loads(proc.stdout)["result"] == 1
 
 
-def test_usage_error_exit_code():
-    code, _ = run_command(["witt", "--generators", "2"])
-    assert code == 2
+def test_usage_error_exit_code(capsys):
+    # argparse's own form: usage on stderr, no JSON report on stdout
+    for argv in (
+        ["witt", "--generators", "two", "--class", "2"],
+        ["witt", "--generators", "2"],
+        ["no-such-verb"],
+    ):
+        code, out = run_command(argv)
+        assert (code, out) == (2, ""), argv
+        assert "usage:" in capsys.readouterr().err, argv
 
 
 def test_degree_cap_exit(monkeypatch):

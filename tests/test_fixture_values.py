@@ -83,7 +83,7 @@ def test_pi0_fixtures_against_witt():
 
 def test_layer_homotopy_fixtures_against_moore_oracle():
     from loopnil.simplicial import moore_space, sphere, wedge_of_circles
-    from loopnil.tower import abelianized_matrix, loop_group
+    from loopnil.tower import loop_group
     from loopnil.hall import lie_of_map, witt_rank
 
     cases = [
@@ -103,7 +103,7 @@ def test_layer_homotopy_fixtures_against_moore_oracle():
 
         def face_fn(q, i):
             return lie_of_map(
-                abelianized_matrix(g, q, i, "face"),
+                oracles.abelianized_matrix(g, q, i, "face"),
                 n,
                 src_k=g.gen_count(q),
                 tgt_k=g.gen_count(q - 1),

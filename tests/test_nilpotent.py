@@ -4,6 +4,7 @@ import time
 import pytest
 
 from loopnil import hall, nilpotent
+from loopnil.caps import current_caps
 from loopnil.errors import LoopnilError
 from loopnil.nilpotent import (
     apply_hom,
@@ -11,7 +12,7 @@ from loopnil.nilpotent import (
     compose_homs,
     generator_element,
     graded_layer,
-    hom_from_matrix,
+    hom_from_words,
     identity_element,
     identity_hom,
     invert_free_word,
@@ -144,11 +145,11 @@ def test_apply_hom_identity_swap_kill():
     ident = identity_hom(2, 2)
     u = collect([(2, 1), (1, 2)], 2, 2)
     assert apply_hom(ident, u) == u
-    swap = hom_from_matrix([[0, 1], [1, 0]], 2)
+    swap = hom_from_words([((1, 1),), ((0, 1),)], 2, 2, current_caps())
     comm = nil_commutator(generator_element(2, 2, 2), generator_element(2, 2, 1))
     swapped = apply_hom(swap, comm)
     assert swapped.exponents == (0, 0, -1)
-    kill = hom_from_matrix([[1, 0], [0, 0]], 2)
+    kill = hom_from_words([((0, 1),), ()], 2, 2, current_caps())
     assert apply_hom(kill, comm).is_identity
 
 
@@ -187,11 +188,12 @@ def test_layer_matrix_agrees_with_lie_functor(k, n):
     rng = random.Random(17 * k + n)
     for _ in range(6):
         mat = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
-        f = hom_from_matrix(mat, n)
+        cols = oracles.word_columns(mat)
+        f = hom_from_words(cols, k, n, current_caps())
         for w in range(1, n + 1):
             grp = layer_matrix(f, w)
-            lie = hall.lie_of_map(mat, w, src_k=k, tgt_k=k)
-            assert grp == lie, (k, n, w, mat)
+            assert grp == hall.lie_rows(cols, w, k), (k, n, w, mat)
+            assert oracles.nonzero_rows_below(grp, hall.witt_rank(k, w))
 
 
 def test_layer_matrix_permutation_equivariance():
@@ -200,9 +202,12 @@ def test_layer_matrix_permutation_equivariance():
     k, n = 3, 4
     for perm in itertools.permutations(range(k)):
         mat = [[1 if perm[j] == i else 0 for j in range(k)] for i in range(k)]
-        f = hom_from_matrix(mat, n)
+        cols = oracles.word_columns(mat)
+        f = hom_from_words(cols, k, n, current_caps())
         for w in range(1, n + 1):
-            assert layer_matrix(f, w) == hall.lie_of_map(mat, w, src_k=k, tgt_k=k)
+            grp = layer_matrix(f, w)
+            assert grp == hall.lie_rows(cols, w, k)
+            assert oracles.nonzero_rows_below(grp, hall.witt_rank(k, w))
 
 
 def test_free_nilpotent_heisenberg():
@@ -768,7 +773,8 @@ def test_layer_matrix_evaluates_each_subtree_once(monkeypatch):
     k, n = 3, 4
     rng = random.Random(34)
     mat = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
-    f = hom_from_matrix(mat, n)
+    cols = oracles.word_columns(mat)
+    f = hom_from_words(cols, k, n, current_caps())
     calls = []
     original = nilpotent.nil_commutator
 
@@ -787,7 +793,9 @@ def test_layer_matrix_evaluates_each_subtree_once(monkeypatch):
                 subtrees.add(tree)
                 stack += tree
         calls.clear()
-        assert layer_matrix(f, w) == hall.lie_of_map(mat, w, src_k=k, tgt_k=k)
+        grp = layer_matrix(f, w)
+        assert grp == hall.lie_rows(cols, w, k)
+        assert oracles.nonzero_rows_below(grp, hall.witt_rank(k, w))
         assert len(calls) == len(subtrees), w
 
 

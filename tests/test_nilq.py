@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from loopnil import intmat
 from loopnil.abelian import AbelianInvariants
 from loopnil.cli import default_names, parse_word
 from loopnil.hall import witt_rank
@@ -178,7 +177,7 @@ def test_brute_force_closure_lattice_oracle():
             vec = e.weight_slice(low)
             rank_w = len(vec)
             assert rows, (rels, low, vec)
-            span = intmat.transpose(rows, ncols=rank_w)
+            span = oracles.transpose(rows, ncols=rank_w)
             try:
                 oracles._solve_in_basis(span, [[v] for v in vec], rank_w, len(rows), 1)
             except AssertionError:
@@ -233,7 +232,7 @@ def test_random_presentations_closure_membership():
             rows = lattice[low]
             vec = e.weight_slice(low)
             assert rows, (trial, rels, low, vec)
-            span = intmat.transpose(rows, ncols=len(vec))
+            span = oracles.transpose(rows, ncols=len(vec))
             try:
                 oracles._solve_in_basis(span, [[v] for v in vec], len(vec), len(rows), 1)
             except AssertionError:
@@ -284,7 +283,7 @@ def _sift(e, pivots, n):
             continue
         layer = [p for p in pivots if p.lowest_weight() == w]
         assert layer, (w, vec)
-        span = intmat.transpose([p.weight_slice(w) for p in layer], ncols=len(vec))
+        span = oracles.transpose([p.weight_slice(w) for p in layer], ncols=len(vec))
         x = oracles._solve_in_basis(span, [[v] for v in vec], len(vec), len(layer), 1)
         for p, (c,) in zip(layer, x):
             if c:

@@ -8,13 +8,12 @@ import oracles
 
 from loopnil.abelian import AbelianInvariants
 from loopnil.hall import total_hall_rank as tower_rank
-from loopnil.hall import lie_of_map, witt_rank
+from loopnil.hall import lie_of_map, lie_rows, witt_rank
 from loopnil.linearize import moore_homology
 from loopnil.nilpotent import rule_system, NilpotentElement
 from loopnil.nilq import free_nilpotent_layers
 from loopnil.simplicial import moore_space, point, sphere, wedge, wedge_of_circles
 from loopnil.tower import (
-    abelianized_matrix,
     layer,
     layer_homotopy,
     loop_group,
@@ -143,7 +142,7 @@ def test_loop_linearization_matches_shifted_reduction():
     assert [a.rank(q) for q in range(4)] == [1, 1, 1, 1]
     for q in range(1, 4):
         for i in range(q + 1):
-            assert a.face_matrix(q, i) == abelianized_matrix(g, q, i, "face")
+            assert a.face_matrix(q, i) == oracles.abelianized_matrix(g, q, i, "face")
     # first homotopy of the abelianization equals first reduced homology
     assert moore_homology(a, 0) == AbelianInvariants(1, ())
 
@@ -218,7 +217,7 @@ def test_layer_one_equals_abelianization():
         lin = lay.abelian()
         for q in range(1, 4):
             for i in range(q + 1):
-                ab = abelianized_matrix(g, q, i, "face")
+                ab = oracles.abelianized_matrix(g, q, i, "face")
                 assert lie_of_map(ab, 1, g.gen_count(q), g.gen_count(q - 1)) == ab
                 assert lin.face_matrix(q, i) == ab
 
@@ -230,7 +229,7 @@ def test_layer_faces_sparse_rows_equal_dense_lie_route():
             simp = layer(g, n).abelian()
             for q in range(1, 4):
                 for i in range(q + 1):
-                    ab = abelianized_matrix(g, q, i, "face")
+                    ab = oracles.abelianized_matrix(g, q, i, "face")
                     lie = lie_of_map(ab, n, g.gen_count(q), g.gen_count(q - 1))
                     assert simp.face_matrix(q, i) == lie, (space.name, n, q, i)
 
@@ -419,20 +418,20 @@ def test_comparison_reads_only_the_loop_group_caps(monkeypatch):
 
 def test_comparison_fails_when_the_routes_disagree(monkeypatch):
     # a comparison that never looked at the Lie route would pass every other
-    # test; shifting one entry of each Lie-route matrix must fail it
+    # test; shifting one entry of each Lie-route map must fail it
     from loopnil import tower
 
     lay = layer(loop_group(wedge_of_circles(2)), 2)
     assert lay.comparison_ok(3)
     calls = []
 
-    def shifted(f, n, src_k, tgt_k):
-        mat = lie_of_map(f, n, src_k, tgt_k)
-        calls.append(mat)
-        mat[0][0] += 1
-        return mat
+    def shifted(cols, n, tgt_k):
+        rows = lie_rows(cols, n, tgt_k)
+        calls.append(rows)
+        rows[0][0] = rows[0].get(0, 0) + 1
+        return rows
 
-    monkeypatch.setattr(tower, "lie_of_map", shifted)
+    monkeypatch.setattr(tower, "lie_rows", shifted)
     assert lay.comparison_ok(3) is False
     # the first map already disagrees, so no other is compared
     assert len(calls) == 1
