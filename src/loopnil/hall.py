@@ -41,8 +41,10 @@ def hall_basis(k, n):
         return tuple(range(1, k + 1))
     if k <= 1:  # a bracket needs two distinct generators
         return ()
-    # every bracket built here has weight n, so its tree_key order is the
-    # order of its two factors' keys
+    # every bracket here has weight n, so tree_key orders it by its left key,
+    # then its right key; the loops emit that order, since a left key starts
+    # with its weight and each basis below (lefts, then rights of one weight)
+    # is in tree_key order by induction
     out = []
     for wl in range(1, n):
         rights = [(tree_key(r), r) for r in hall_basis(k, n - wl)]
@@ -52,7 +54,6 @@ def hall_basis(k, n):
             for kr, right in rights:
                 if kl > kr and (sub is None or sub <= kr):
                     out.append((left, right))
-    out.sort(key=lambda t: (tree_key(t[0]), tree_key(t[1])))
     return tuple(out)
 
 
@@ -90,16 +91,10 @@ def witt_rank(k, n):
     return total // n
 
 
-@lru_cache(maxsize=None)
-def total_hall_rank(k, n):
-    """Total Hall rank of the free class-n group on k generators: the
-    Witt ranks of weights 1..n summed."""
-    return capped_hall_rank(k, n, math.inf)[0]
-
-
 def capped_hall_rank(k, n, cap):
     """``(rank, w)``: the Witt ranks of weights 1..w summed, w the first weight
-    where the sum passes ``cap``, or n; about log_k(cap) weights for k >= 2."""
+    where the sum passes ``cap``, or n; about log_k(cap) weights for k >= 2.
+    The pre-work sum that the Hall-rank and tree-count caps read."""
     if 0 <= k <= 1 <= n:
         return k, n
     rank = 0

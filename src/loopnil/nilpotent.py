@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 from .caps import current_caps, decimal
 from .errors import InternalInvariantError, LoopnilError
-from .hall import capped_hall_rank, hall_basis, normalize_tree, total_hall_rank, tree_str, witt_rank
+from .hall import capped_hall_rank, hall_basis, normalize_tree, tree_str
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +68,7 @@ _degree = itemgetter(0)
 
 
 class TruncatedRing:
-    def __init__(self, k, degree):
-        self.k = k
+    def __init__(self, degree):
         self.degree = degree
         self.one = {(): 1}
 
@@ -183,16 +182,16 @@ class RuleSystem:
     letter ring elements, keyed by Hall tree (module docstring); each engine
     keeps its own view of the rules by letter index.
 
-    Built through :func:`rule_system`, which checks the total-rank cap.
-    After construction the caches, the class tables among them (at most one
-    rule per pattern), only grow monotonically under locks, so concurrent
-    readers are safe.
+    ``rank``, the count of its letters (the Hall trees of weights 1..n), is
+    the size of the group.  Built through :func:`rule_system`, which checks
+    the Hall-rank cap first.  After construction the caches, the class
+    tables among them (at most one rule per pattern), only grow
+    monotonically under locks, so concurrent readers are safe.
     """
 
     def __init__(self, k, n):
         self.k = k
         self.n = n
-        self.rank = total_hall_rank(k, n)
         self.letters, self.weights = [], []
         # a weight with no Hall tree is followed by none (only k <= 1 has one)
         for w in range(1, n + 1):
@@ -201,11 +200,12 @@ class RuleSystem:
                 break
             self.letters.extend(trees)
             self.weights.extend([w] * len(trees))
+        self.rank = len(self.letters)
         self.index = {t: i for i, t in enumerate(self.letters)}
         # end of each letter's movers, the later letters it may not commute
         # with (none when 2 p > n)
         self._mover_stop = [bisect_right(self.weights, n - p) if 2 * p <= n else 0 for p in self.weights]
-        self.ring = TruncatedRing(k, n)
+        self.ring = TruncatedRing(n)
         self._poly = {}
         self._rules = {}
         self._lock = threading.Lock()
@@ -468,15 +468,16 @@ def rule_system(k, n, caps=None):
             if sys is None:
                 if k < 0 or n < 1:
                     raise LoopnilError(f"need k >= 0 and n >= 1, got ({k}, {n})")
-                _check_rank(caps or current_caps(), k, n)
+                check_free_group(caps or current_caps(), k, n)
                 sys = RuleSystem(k, n)
                 _systems[key] = sys
     elif caps is not None and sys.rank > caps.max_hall_rank:
-        _check_rank(caps, k, n)
+        check_free_group(caps, k, n)
     return sys
 
 
-def _check_rank(caps, k, n):
+def check_free_group(caps, k, n):
+    """Refuses the free class-n group on k generators past the Hall-rank cap."""
     rank, w = capped_hall_rank(k, n, caps.max_hall_rank)
     early = f" (weights 1..{w} of {n} only: summing stopped early)" if w < n else ""
     caps.check_hall_rank(rank, f"free class-{n} group on {k} generators{early}")
@@ -493,14 +494,14 @@ def invert_free_word(word):
 @dataclass(frozen=True)
 class NilpotentElement:
     """Normal form in the free class-n group on k generators: an exponent
-    vector over the concatenated Hall bases of weights 1..n."""
+    vector over its engine's letters, the Hall bases of weights 1..n."""
 
     k: int
     n: int
     exponents: tuple
 
     def __post_init__(self):
-        expected = total_hall_rank(self.k, self.n)
+        expected = rule_system(self.k, self.n).rank
         if len(self.exponents) != expected:
             raise InternalInvariantError(
                 f"exponent vector has length {len(self.exponents)}, expected {expected}"
@@ -527,10 +528,10 @@ class NilpotentElement:
         return tuple((i, e) for i, e in enumerate(self.exponents) if e)
 
     def truncate(self, m):
-        """Image in the class-m quotient (m <= n)."""
+        """Image in the class-m quotient (1 <= m <= n)."""
         if m > self.n:
             raise LoopnilError("cannot truncate upwards")
-        keep = total_hall_rank(self.k, m)
+        keep = bisect_right(rule_system(self.k, self.n).weights, m)
         return NilpotentElement(self.k, m, tuple(self.exponents[:keep]))
 
     def to_json(self):
@@ -548,13 +549,13 @@ class NilpotentElement:
 
 
 def identity_element(k, n):
-    return NilpotentElement(k, n, (0,) * total_hall_rank(k, n))
+    return NilpotentElement(k, n, (0,) * rule_system(k, n).rank)
 
 
 def generator_element(k, n, i):
     if not 1 <= i <= k:
         raise LoopnilError(f"generator {i} out of range 1..{k}")
-    vec = [0] * total_hall_rank(k, n)
+    vec = [0] * rule_system(k, n).rank
     vec[i - 1] = 1
     return NilpotentElement(k, n, tuple(vec))
 
@@ -621,14 +622,8 @@ def graded_layer(k, n, w):
     the identically shaped Hall trees."""
     sys = rule_system(k, n)
     ids = sys.letters_of_weight(w)
-    trees = hall_basis(k, w)
-    pairs = tuple((i, trees[pos]) for pos, i in enumerate(ids))
-    assert all(sys.letters[i] == t for i, t in pairs)
-    return {
-        "rank": witt_rank(k, w),
-        "letters": pairs,
-        "trees": trees,
-    }
+    trees = tuple(sys.letters[ids.start : ids.stop])
+    return {"rank": len(trees), "letters": tuple(zip(ids, trees)), "trees": trees}
 
 
 @dataclass(frozen=True)
@@ -718,7 +713,7 @@ def layer_matrix(f, w):
     src_sys = rule_system(f.src_k, f.n)
     letters = src_sys.letters_of_weight(w)  # refuses a bad weight before rows are sized
     memo = {}
-    rows = [{} for _ in range(witt_rank(f.tgt_k, w))]
+    rows = [{} for _ in rule_system(f.tgt_k, f.n).letters_of_weight(w)]
     for j, i in enumerate(letters):
         img = _tree_image(f, src_sys.letters[i], memo)
         low = img.lowest_weight()

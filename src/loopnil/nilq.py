@@ -115,6 +115,8 @@ def nilpotent_quotient(k, relators, n, caps=None):
     if n < 1:
         raise LoopnilError(f"class must be >= 1, got {n}")
     gens = [collect([(i, 1)], k, n, caps) for i in range(1, k + 1)]
+    # the report lists n layers, which no Hall rank bounds on k <= 1
+    caps.check_layer_rank("layers listed", n, f"class-{n} quotient on {k} generators")
     basket = []
     for word in relators:
         r = collect(word, k, n, caps)

@@ -13,7 +13,7 @@ from .caps import current_caps
 from .errors import InternalInvariantError, LoopnilError
 from .hall import hall_basis, lie_rows, subalphabet_trees, witt_rank
 from .linearize import SimplicialAbelianGroup, moore_homology
-from .nilpotent import _check_rank, hom_from_words, invert_free_word, layer_matrix
+from .nilpotent import check_free_group, hom_from_words, invert_free_word, layer_matrix
 from .nilq import nilpotent_quotient
 from .simplicial import require_valid
 
@@ -189,7 +189,7 @@ class LayerObject:
         the Hall-rank cap."""
         if max_degree >= 1:
             k = max(self.group.gen_count(q) for q in range(max_degree + 1))
-            _check_rank(self.group.caps, k, self.n)
+            check_free_group(self.group.caps, k, self.n)
         stage = SimplicialGroupTower(self.group, self.n)
         maps = [(q, i, "face") for q in range(1, max_degree + 1) for i in range(q + 1)]
         maps += [(q, i, "degeneracy") for q in range(max_degree) for i in range(q + 1)]

@@ -13,8 +13,8 @@ import time
 from loopnil.abelian import AbelianInvariants
 from loopnil.cli import run_command
 from loopnil.caps import current_caps
+from loopnil.hall import capped_hall_rank
 from loopnil.hall import cross_effect_kernel, hall_basis, lie_of_map, lie_rows, witt_rank
-from loopnil.hall import total_hall_rank as tower_rank
 from loopnil.nilpotent import (
     collect,
     graded_layer,
@@ -38,6 +38,12 @@ from loopnil.tower import (
 import oracles
 
 FIXTURE_SPACES = [sphere(1), sphere(2), wedge(sphere(1), sphere(1)), moore_space(2, 2)]
+
+
+def tower_rank(k, n):
+    """Total Hall rank of the free class-n group on k generators."""
+    return capped_hall_rank(k, n, math.inf)[0]
+
 
 # first nonvanishing layer-homotopy degree of the 2-sphere per class, within
 # the window s <= 5; None records that every degree in the window vanished

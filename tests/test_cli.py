@@ -420,6 +420,22 @@ def test_huge_class_answers_or_is_refused_at_once(argv, want):
         assert "summing stopped early" in rep["error"]["message"]
 
 
+@pytest.mark.parametrize("name, k", [("cyclic2.json", 1), (None, 0)])
+def test_nilq_layer_count_is_refused_at_once(tmp_path, name, k):
+    # on 0 or 1 generators no Hall rank grows with the class, so the layer
+    # cap bounds the report's one layer per weight
+    if name is None:
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"generators": [], "relators": []}))
+    else:
+        path = presentation(name)
+    start = time.process_time()
+    code, rep = run_json(["nilq", str(path), "--class", "100000000"])
+    assert time.process_time() - start < 1.0
+    assert code == 3 and rep["error"]["kind"] == "resource-cap"
+    assert f"quotient on {k} generators: layers listed = 100000000 exceeds" in rep["error"]["message"]
+
+
 def test_integers_too_long_to_print_are_refused(tmp_path):
     # A^2 has about 6,000 digits, past the 4,300 that Python prints: the
     # collect report's exponent and a nilq relation's exponent

@@ -5,7 +5,7 @@ import pytest
 
 from loopnil import hall, nilpotent
 from loopnil.caps import current_caps
-from loopnil.errors import LoopnilError
+from loopnil.errors import CapExceeded, LoopnilError
 from loopnil.nilpotent import (
     apply_hom,
     collect,
@@ -21,6 +21,7 @@ from loopnil.nilpotent import (
     nil_inverse,
     nil_multiply,
     nil_power,
+    NilpotentElement,
     projection_hom,
     rule_system,
     RuleSystem,
@@ -232,6 +233,31 @@ def test_element_arithmetic_reads_no_caps(monkeypatch):
     monkeypatch.setenv("LOOPNIL_MAX_HALL_RANK", "many")
     assert nil_multiply(b, a).exponents == (1, 1, 1)
     assert nil_commutator(b, a).exponents == (0, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (generator_element, (2, 10**5, 1)),
+        (identity_element, (2, 10**5)),
+        (NilpotentElement, (2, 10**5, ())),
+    ],
+    ids=["generator", "identity", "element"],
+)
+def test_element_constructors_are_refused_by_the_hall_rank_cap(make, args):
+    # an element reads its length from its group's engine, so building one
+    # over the cap is refused after a dozen Witt ranks, as collect is
+    started = time.process_time()
+    with pytest.raises(CapExceeded, match="free class-100000 group on 2 generators"):
+        make(*args)
+    assert time.process_time() - started < 1
+
+
+def test_truncate_below_class_one_is_refused():
+    elt = collect([(1, 1), (2, 1)], 2, 3)
+    assert elt.truncate(1).exponents == (1, 1)
+    with pytest.raises(LoopnilError, match="n >= 1"):
+        elt.truncate(0)
 
 
 # ---------------------------------------------------------------------------
