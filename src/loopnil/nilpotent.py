@@ -47,6 +47,19 @@ x^-e - 1 + e (x - 1) = sum_{j >= 2} C(-e, j) (x - 1)^j, every cross term of the
 product of the x_i^-e_i, and every term of (x_i - 1)(g - 1) has degree
 >= 2 w > n, so the peeled element is g - sum_i e_i (x_i - 1): no ring product
 is needed.
+
+Commutators by sifting.  [u, v] = u^-1 v^-1 u v = (vu)^-1 (uv), so it is the
+quotient a^-1 b of two normal forms, a = vu and b = uv, each one product.
+Collecting the word u^-1 v^-1 u v instead would start from both inverted
+normal forms, whose letters run in descending order, the worst case for
+collection from the left.  The quotient is sifted (Sims, Computation with
+Finitely Presented Groups, ch. 9): walk the letters in order and, where the
+current normal form and b differ at letter i by d = b_i - cur_i, collect
+x_i^d onto it.  That adds d at letter i and changes no earlier letter,
+because every mover and every tail letter comes after i.  So after step i
+the current form agrees with b up to i, and at the end b = a x_1^d_1 ...
+x_r^d_r.  The product of the x_i^d_i is in ascending letter order, a normal
+form, so by uniqueness it is a^-1 b.
 """
 
 import math
@@ -54,6 +67,7 @@ from bisect import bisect_left, bisect_right
 from operator import itemgetter
 import threading
 from dataclasses import dataclass
+from functools import reduce
 
 from .caps import current_caps, decimal
 from .errors import InternalInvariantError, LoopnilError
@@ -386,6 +400,25 @@ class RuleSystem:
         terms = tuple((self.letters[letter], tuple(cs)) for letter, cs in sorted(coeffs.items()))
         return top_a, top_b, points, terms
 
+    def solve(self, a, b):
+        """Normal-form exponents of a^-1 b for normal forms ``a`` and ``b``,
+        by sifting.  Walk the letters in order; where the current vector
+        (``a`` at first) and ``b`` differ at letter i, record d = b_i - cur_i
+        and collect x_i^d onto the current vector.  Collecting x_i^d onto a
+        normal form adds d at letter i and changes no earlier letter, because
+        the movers and the tail letters all come after i (:meth:`collect`).
+        So after step i the vector agrees with ``b`` up to i, and at the end
+        b = a x_1^d_1 ... x_r^d_r.  That product is in ascending letter order,
+        so it is a normal form, and by uniqueness it is a^-1 b."""
+        out = [0] * self.rank
+        cur = a
+        for i, want in enumerate(b):
+            d = want - cur[i]
+            if d:
+                out[i] = d
+                cur = self.collect([(i, d)], cur)
+        return out
+
     def collect(self, word, vec=None):
         """Normal-form exponents of ``vec`` (the identity by default) times a
         word of (letter, exponent) pairs, by collection from the left.
@@ -584,6 +617,8 @@ def nil_multiply(u, v):
 
 
 def nil_inverse(u):
+    # the reversed word of inverse letter powers: sifting u^-1 as
+    # solve(u, identity) does as many tail lookups and is no faster
     sys = rule_system(u.k, u.n)
     vec = sys.collect(invert_free_word(u.word()))
     return NilpotentElement(u.k, u.n, tuple(vec))
@@ -594,22 +629,28 @@ def nil_power(u, e):
         return identity_element(u.k, u.n)
     base = u if e > 0 else nil_inverse(u)
     e = abs(e)
-    out = identity_element(u.k, u.n)
+    # square up to the lowest set bit, which starts the product
+    while not e & 1:
+        base = nil_multiply(base, base)
+        e >>= 1
+    out = base
+    e >>= 1
     while e:
+        base = nil_multiply(base, base)
         if e & 1:
             out = nil_multiply(out, base)
         e >>= 1
-        if e:
-            base = nil_multiply(base, base)
     return out
 
 
 def nil_commutator(u, v):
+    """[u, v] = u^-1 v^-1 u v, read as (vu)^-1 (uv) by sifting (module
+    docstring)."""
     _require_match(u, v)
     sys = rule_system(u.k, u.n)
-    word = invert_free_word(u.word()) + invert_free_word(v.word())
-    word += u.word() + v.word()
-    return NilpotentElement(u.k, u.n, tuple(sys.collect(word)))
+    uv = sys.collect(v.word(), u.exponents)
+    vu = sys.collect(u.word(), v.exponents)
+    return NilpotentElement(u.k, u.n, tuple(sys.solve(vu, uv)))
 
 
 # ---------------------------------------------------------------------------
@@ -688,12 +729,12 @@ def apply_hom(f, u):
     each bracket subtree evaluated once, and collect."""
     if (u.k, u.n) != (f.src_k, f.n):
         raise LoopnilError("element not in the source of the homomorphism")
-    out = identity_element(f.tgt_k, f.n)
+    word = u.word()
+    if not word:
+        return identity_element(f.tgt_k, f.n)
     memo = {}
     sys = rule_system(u.k, u.n)
-    for i, e in u.word():
-        out = nil_multiply(out, nil_power(_tree_image(f, sys.letters[i], memo), e))
-    return out
+    return reduce(nil_multiply, (nil_power(_tree_image(f, sys.letters[i], memo), e) for i, e in word))
 
 
 def compose_homs(g, f):

@@ -835,3 +835,139 @@ def test_weights_out_of_range_are_refused(w):
         layer_matrix(identity_hom(k, n), w)
     with pytest.raises(LoopnilError, match=f"weight {w} out of range 1..4"):
         graded_layer(k, n, w)
+
+
+# commutators by sifting: [u, v] = (vu)^-1 (uv), with RuleSystem.solve reading
+# the quotient of two normal forms letter by letter
+
+SIFT_GROUPS = [(1, 4), (3, 1), (2, 6), (3, 5), (4, 4), (6, 4), (4, 5)]
+
+
+def _random_forms(sys, rng, count):
+    """``count`` seeded normal-form pairs of the engine, every third form
+    with an exponent +-(10^5 + r), then (u, u), (1, v) and (u, 1)."""
+
+    def form(j):
+        word = [(g - 1, e) for g, e in random_word(rng, sys.k, syllables=4)]
+        if j % 3 == 0:
+            word.append((rng.randrange(sys.k), rng.choice((-1, 1)) * (10**5 + rng.randrange(1000))))
+            rng.shuffle(word)
+        return NilpotentElement(sys.k, sys.n, tuple(sys.collect(word)))
+
+    pairs = [(form(2 * j), form(2 * j + 1)) for j in range(count - 3)]
+    u, v = form(0), form(1)
+    one = identity_element(sys.k, sys.n)
+    return pairs + [(u, u), (one, v), (u, one)]
+
+
+def _word_route(u, v):
+    """[u, v] by collecting the free word u^-1 v^-1 u v from the identity."""
+    word = invert_free_word(u.word()) + invert_free_word(v.word()) + list(u.word() + v.word())
+    return tuple(rule_system(u.k, u.n).collect(word))
+
+
+@pytest.mark.parametrize("k,n", SIFT_GROUPS)
+def test_solve_reads_the_quotient_of_two_normal_forms(k, n):
+    # a * solve(a, b) = b, collected onto a; solve(a, a) = 1
+    rng = random.Random(71 * k + n)
+    sys = rule_system(k, n)
+    zero = [0] * sys.rank
+    assert sys.solve(zero, zero) == zero
+    for u, v in _random_forms(sys, rng, 12):
+        a, b = u.exponents, v.exponents
+        d = sys.solve(a, b)
+        assert sys.collect([(i, e) for i, e in enumerate(d) if e], a) == list(b)
+        assert sys.solve(a, a) == zero
+
+
+@pytest.mark.parametrize("k,n", SIFT_GROUPS)
+def test_commutator_matches_the_four_factor_word(k, n):
+    rng = random.Random(31 * k + n)
+    for u, v in _random_forms(rule_system(k, n), rng, 30):
+        assert nil_commutator(u, v).exponents == _word_route(u, v), (u, v)
+
+
+@pytest.mark.parametrize("k,n", [(3, 5), (4, 4)])
+def test_commutators_satisfy_inversion_and_hall_witt(k, n):
+    # [u, v]^-1 = [v, u], and with x^y = y^-1 x y,
+    # [[x, y^-1], z]^y [[y, z^-1], x]^z [[z, x^-1], y]^x = 1
+    rng = random.Random(17 * k + n)
+    forms = [u for pair in _random_forms(rule_system(k, n), rng, 9) for u in pair]
+
+    def conj(a, b):
+        return nil_multiply(nil_multiply(nil_inverse(b), a), b)
+
+    def hall_witt_factor(x, y, z):
+        return conj(nil_commutator(nil_commutator(x, nil_inverse(y)), z), y)
+
+    for u, v in zip(forms, forms[1:]):
+        assert nil_inverse(nil_commutator(u, v)) == nil_commutator(v, u)
+    for x, y, z in zip(forms, forms[1:], forms[2:]):
+        product = nil_multiply(hall_witt_factor(x, y, z), hall_witt_factor(y, z, x))
+        assert nil_multiply(product, hall_witt_factor(z, x, y)).is_identity
+
+
+@pytest.mark.parametrize("k,n", [(6, 4), (4, 5)])
+def test_commutators_match_unitriangular_evaluation(k, n):
+    rng = random.Random(83 * k + n)
+    nils = [oracles.random_strict_upper(rng, n + 1) for _ in range(k)]
+    gens = [[[int(i == j) + x for j, x in enumerate(row)] for i, row in enumerate(nil)] for nil in nils]
+    memo = {}
+    for u, v in _random_forms(rule_system(k, n), rng, 7):
+        u_val, v_val = _form_value(u, gens, memo), _form_value(v, gens, memo)
+        want = _mat_mul(_mat_mul(_unit_inverse(u_val), _unit_inverse(v_val)), _mat_mul(u_val, v_val))
+        assert _form_value(nil_commutator(u, v), gens, memo) == want
+
+
+def test_sifted_commutators_look_up_fewer_tails(monkeypatch):
+    # a work count, not a time: on warm engines the commutators of a fixed
+    # set of pairs look up at most 60 % of the tails that collecting
+    # u^-1 v^-1 u v from the identity does
+    pairs = []
+    for k, n in [(3, 5), (4, 5)]:
+        pairs += _random_forms(rule_system(k, n), random.Random(59 * k + n), 20)
+    for u, v in pairs:
+        assert nil_commutator(u, v).exponents == _word_route(u, v)
+    tails = []
+    original = RuleSystem.block_tail
+
+    def counted(self, *args):
+        tails.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(RuleSystem, "block_tail", counted)
+    for u, v in pairs:
+        nil_commutator(u, v)
+    sifted = len(tails)
+    for u, v in pairs:
+        _word_route(u, v)
+    word = len(tails) - sifted
+    assert sifted <= 0.6 * word, (sifted, word)
+
+
+def test_powers_and_images_collect_nothing_onto_the_identity(monkeypatch):
+    # nil_power starts from the first odd power of its base and apply_hom
+    # from its first letter's image, so no collection starts from an
+    # explicit identity vector
+    k, n = 3, 4
+    rng = random.Random(43)
+    # generic images: no bracket of them is trivial at class 4
+    words = [[(0, 2), (1, -1)], [(1, 1), (2, 3)], [(2, -1), (0, 1), (1, 2)]]
+    f = hom_from_words(words, k, n, current_caps())
+    elements = [collect(random_word(rng, k), k, n) for _ in range(6)]
+    onto_identity = []
+    original = RuleSystem.collect
+
+    def counted(self, word, vec=None):
+        onto_identity.append(vec is not None and not any(vec))
+        return original(self, word, vec)
+
+    monkeypatch.setattr(RuleSystem, "collect", counted)
+    for u in elements:
+        if u.is_identity:
+            continue
+        for e in (1, 2, 6, 7, -5, 10**5 + 3):
+            nil_power(u, e)
+        apply_hom(f, u)
+    assert onto_identity and not any(onto_identity)
+    assert apply_hom(f, identity_element(k, n)).is_identity
