@@ -1,8 +1,11 @@
-"""Resource caps with environment overrides.
+"""Resource caps with environment overrides, and integers in text.
 
 Collection blows up superexponentially in the nilpotency class, so every
 expensive entry point checks a cap before starting and fails loudly with
 :class:`~loopnil.errors.CapExceeded` rather than degrading or truncating.
+An override takes the one integer syntax of :func:`ascii_int`, which the
+CLI's options and word exponents and the decimal strings of JSON input
+share; :func:`decimal` is the way back, for reports.
 """
 
 import os
@@ -27,7 +30,7 @@ def _env_int(name: str, default: int) -> int:
     if raw is None or raw == "":
         return default
     try:
-        return int(raw)
+        return ascii_int(raw)
     except ValueError:
         raise CapExceeded(f"{name} must be an integer, got {raw!r}") from None
 
@@ -79,6 +82,21 @@ def current_caps() -> Caps:
         max_class=_env_int(ENV_MAX_CLASS, DEFAULT_MAX_CLASS),
         max_layer_rank=_env_int(ENV_MAX_LAYER_RANK, DEFAULT_MAX_LAYER_RANK),
     )
+
+
+def ascii_digits(text):
+    """Nonempty and only 0-9: ``str.isdigit`` also accepts superscripts and
+    other scripts' digits, and ``int`` also accepts underscores."""
+    return text.isascii() and text.isdigit()
+
+
+def ascii_int(text):
+    """An optional sign, then :func:`ascii_digits`; the one integer syntax
+    of text from outside the program.  Raises ``ValueError`` on any other
+    text, and on digits past Python's int-to-str conversion limit."""
+    if not ascii_digits(text[1:] if text[:1] in ("+", "-") else text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
 
 
 def decimal(value):

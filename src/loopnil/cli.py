@@ -1,8 +1,9 @@
 """Command-line front end: JSON ingestion, dispatch, deterministic reports.
 
-Exit codes: 0 success, 2 validation failure (malformed input, schema or
-simplicial-identity violations, failed checks), 3 resource cap exceeded,
-4 internal invariant breach (always a bug).
+Exit codes: 0 success, 2 a failed check (``validate``, ``fixture-check``) or
+a usage error.  Every other failure is a :class:`~loopnil.errors.LoopnilError`
+that carries its own exit code and report ``code`` and ``kind``; the table
+lives in :mod:`loopnil.errors`.
 """
 
 import argparse
@@ -15,16 +16,8 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from .abelian import AbelianInvariants
-from .caps import current_caps
-from .errors import (
-    CapExceeded,
-    IdentityViolation,
-    InputError,
-    InternalInvariantError,
-    LoopnilError,
-    MalformedJson,
-    SchemaViolation,
-)
+from .caps import ascii_digits, ascii_int, current_caps
+from .errors import CapExceeded, IdentityViolation, LoopnilError, MalformedJson, SchemaViolation
 from .hall import capped_hall_rank, cross_effect_kernel, hall_basis, tree_str, witt_rank
 from .jsonio import canonical_dumps, digest_bytes, load_json_bytes, make_report, parse_int
 from .nilq import nilpotent_quotient
@@ -34,31 +27,35 @@ from .tower import layer_homotopy, loop_group, pi0, tower_stage
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
-EXIT_CAP = 3
-EXIT_INTERNAL = 4
 
 
 # ---------------------------------------------------------------------------
 # input parsing
 
 
-def parse_space(data, what="space"):
-    """Bytes -> validated space; errors carry codes 1 (malformed JSON),
-    2 (schema violation) and 3 (simplicial-identity violation)."""
-    obj = load_json_bytes(data, what)
-    space = SimplicialSet.from_json(obj)
-    bad = space.violations()
-    if bad:
-        raise IdentityViolation(
-            f"{what}: {len(bad)} simplicial violation(s)", {"violations": bad}
-        )
-    return space
+def read_input(path):
+    """The bytes of an input file; a path that cannot be read (missing, a
+    directory, a name too long, or, in process, one holding a NUL byte) is
+    a schema violation."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:
+        raise SchemaViolation(f"cannot read input: {exc}") from None
 
 
 def read_space(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return parse_space(data, what=path), data
+    """A space file's validated space and its bytes; errors carry codes 1
+    (malformed JSON), 2 (schema violation) and 3 (simplicial-identity
+    violation)."""
+    data = read_input(path)
+    space = SimplicialSet.from_json(load_json_bytes(data, path))
+    bad = space.violations()
+    if bad:
+        raise IdentityViolation(
+            f"{path}: {len(bad)} simplicial violation(s)", {"violations": bad}
+        )
+    return space, data
 
 
 def parse_word(text, names, k):
@@ -73,8 +70,8 @@ def parse_word(text, names, k):
             try:
                 e = ascii_int(exp)
             except ValueError:
-                digits = _unsigned(exp)
-                if not _ascii_digits(digits):
+                digits = exp[1:] if exp[:1] in ("+", "-") else exp
+                if not ascii_digits(digits):
                     raise MalformedJson(f"bad exponent in token {token!r}") from None
                 raise CapExceeded(
                     f"exponent of {len(digits)} digits exceeds the "
@@ -84,7 +81,7 @@ def parse_word(text, names, k):
             e = 1
         if name in names:
             g = names[name] + 1
-        elif name.startswith("x") and _ascii_digits(name[1:]):
+        elif name.startswith("x") and ascii_digits(name[1:]):
             # a numeral longer than k's is out of range and is not converted
             digits = name[1:].lstrip("0")
             g = int(digits or "0") if len(digits) <= len(str(k)) else 0
@@ -94,25 +91,6 @@ def parse_word(text, names, k):
             raise SchemaViolation(f"generator {name!r} out of range 1..{k}")
         word.append((g, e))
     return word
-
-
-def _ascii_digits(text):
-    """Nonempty and only 0-9: ``str.isdigit`` also accepts superscripts and
-    other scripts' digits, and ``int`` also accepts underscores."""
-    return text.isascii() and text.isdigit()
-
-
-def _unsigned(text):
-    return text[1:] if text[:1] in ("+", "-") else text
-
-
-def ascii_int(text):
-    """An optional sign, then :func:`_ascii_digits`; the one integer syntax
-    of exponents and integer options.  Raises ``ValueError`` on any other
-    text, and on digits past Python's int-to-str conversion limit."""
-    if not _ascii_digits(_unsigned(text)):
-        raise ValueError(f"invalid integer {text!r}")
-    return int(text)
 
 
 def default_names(k):
@@ -143,10 +121,8 @@ def parse_presentation(data, what="presentation"):
 
 
 def cmd_validate(args):
-    with open(args.path, "rb") as fh:
-        data = fh.read()
-    obj = load_json_bytes(data, args.path)
-    space = SimplicialSet.from_json(obj)
+    data = read_input(args.path)
+    space = SimplicialSet.from_json(load_json_bytes(data, args.path))
     bad = space.violations()
     payload = {"ok": not bad, "violations": bad}
     return payload, digest_bytes(data), EXIT_OK if not bad else EXIT_VALIDATION
@@ -225,8 +201,7 @@ def cmd_cross_effect(args):
 
 
 def cmd_nilq(args):
-    with open(args.path, "rb") as fh:
-        data = fh.read()
+    data = read_input(args.path)
     k, relators = parse_presentation(data, args.path)
     q = nilpotent_quotient(k, relators, args.cls)
     return q.to_json(), digest_bytes(data), EXIT_OK
@@ -279,8 +254,7 @@ def data_path(*parts):
 
 
 def cmd_fixture_check(args):
-    with open(data_path("fixtures.json"), "rb") as fh:
-        spec = load_json_bytes(fh.read(), "fixtures.json")
+    spec = load_json_bytes(read_input(data_path("fixtures.json")), "fixtures.json")
     failures = []
     checked = 0
     cap_hit = False
@@ -300,7 +274,7 @@ def cmd_fixture_check(args):
             problems.append("nondeterministic output")
         if exits[0] != want_exit:
             problems.append(f"exit {exits[0]} != {want_exit}")
-            if exits[0] == EXIT_CAP:
+            if exits[0] == CapExceeded.exit:
                 cap_hit = True
         if outs[0] != want_out:
             problems.append("stdout differs")
@@ -313,7 +287,7 @@ def cmd_fixture_check(args):
         "failures": failures,
     }
     if cap_hit:
-        return payload, None, EXIT_CAP
+        return payload, None, CapExceeded.exit
     return payload, None, EXIT_OK if not failures else EXIT_VALIDATION
 
 
@@ -401,10 +375,10 @@ def run_command(argv):
     return code, buf.getvalue()
 
 
-def _error_report(verb, code, kind, message, detail=None):
-    payload = {"code": code, "kind": kind, "message": message}
-    if detail:
-        payload["detail"] = detail
+def _error_report(verb, exc):
+    payload = {"code": exc.code, "kind": exc.kind, "message": str(exc)}
+    if exc.detail:
+        payload["detail"] = exc.detail
     report = make_report(verb or "error", {}, None)
     report["error"] = payload
     del report["result"]
@@ -428,27 +402,9 @@ def _run(argv):
             report["elapsed_ms"] = int((time.monotonic() - started) * 1000)
         # serialized inside the try, so an integer too long to print is refused
         sys.stdout.write(canonical_dumps(report))
-    except InputError as exc:
-        _error_report(
-            verb,
-            exc.code,
-            {1: "malformed-json", 2: "schema", 3: "simplicial-identity"}[exc.code],
-            str(exc),
-            exc.detail,
-        )
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        _error_report(verb, 2, "schema", f"cannot read input: {exc}")
-        return EXIT_VALIDATION
-    except CapExceeded as exc:
-        _error_report(verb, 3, "resource-cap", str(exc))
-        return EXIT_CAP
-    except InternalInvariantError as exc:
-        _error_report(verb, 4, "internal-invariant", str(exc))
-        return EXIT_INTERNAL
     except LoopnilError as exc:
-        _error_report(verb, 2, "schema", str(exc))
-        return EXIT_VALIDATION
+        _error_report(verb, exc)
+        return exc.exit
     return code
 
 

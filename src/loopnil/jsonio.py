@@ -9,7 +9,7 @@ identical inputs is byte-identical.
 import hashlib
 import json
 
-from .caps import decimal
+from .caps import ascii_int, decimal
 from .errors import MalformedJson
 
 SCHEMA_TAG = "loopnil/1"
@@ -35,14 +35,16 @@ def canonical_dumps(obj):
 
 
 def parse_int(value, what):
-    """Accept both native ints and decimal-string big ints."""
+    """Accept both native ints and decimal-string big ints; a string takes
+    the integer syntax of :func:`~loopnil.caps.ascii_int`, so no whitespace,
+    underscores or other scripts' digits."""
     if isinstance(value, bool):
         raise MalformedJson(f"{what} must be an integer")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
         try:
-            return int(value, 10)
+            return ascii_int(value)
         except ValueError:
             raise MalformedJson(f"{what} is not a decimal integer: {value!r}") from None
     raise MalformedJson(f"{what} must be an integer")
@@ -59,7 +61,7 @@ def load_json_bytes(data, what="input"):
         raise MalformedJson(
             f"{what}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
-    except ValueError as exc:  # an integer longer than Python converts
+    except (ValueError, RecursionError) as exc:  # too long an integer, too deep a nesting
         raise MalformedJson(f"{what}: unreadable JSON: {exc}") from None
 
 

@@ -196,9 +196,20 @@ def test_cap_exceeded_exit_code(monkeypatch):
 
 
 def test_cap_env_must_be_integer(monkeypatch):
-    monkeypatch.setenv("LOOPNIL_MAX_HALL_RANK", "many")
-    code, rep = run_json(["collect", "--generators", "2", "--class", "2", "--word", "a"])
-    assert code == 3
+    # an override takes the integer syntax of options: int() would also read
+    # full-width and other scripts' digits, underscores and padding
+    argv = ["collect", "--generators", "3", "--class", "2", "--word", "a"]
+    for raw in ("many", "５", "1_0", " 5", "٣"):
+        monkeypatch.setenv("LOOPNIL_MAX_HALL_RANK", raw)
+        code, rep = run_json(argv)
+        assert code == 3, raw
+        assert rep["error"]["message"] == f"LOOPNIL_MAX_HALL_RANK must be an integer, got {raw!r}"
+    # a sign is part of the syntax; the total Hall rank here is 6
+    monkeypatch.setenv("LOOPNIL_MAX_HALL_RANK", "+600")
+    assert run_json(argv)[0] == 0
+    monkeypatch.setenv("LOOPNIL_MAX_HALL_RANK", "+5")
+    code, rep = run_json(argv)
+    assert code == 3 and "total Hall rank 6 exceeds cap 5" in rep["error"]["message"]
 
 
 def test_fixture_check_passes():
@@ -526,3 +537,152 @@ def test_parser_reuse_after_usage_error():
     assert first[0] == 0
     assert run_command(["nilq", presentation("cyclic2.json")])[0] == 2
     assert run_command(argv) == first
+
+
+def _deep_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    return str(path)
+
+
+# exit code, error.code and error.kind of each failure
+_CONTRACT = {
+    "malformed-json": (2, 1, "malformed-json"),
+    "schema": (2, 2, "schema"),
+    "simplicial-identity": (2, 3, "simplicial-identity"),
+    "cap": (3, 3, "resource-cap"),
+    "internal-invariant": (4, 4, "internal-invariant"),
+    "bare-loopnil-error": (2, 2, "schema"),
+    "missing-file": (2, 2, "schema"),
+    "directory": (2, 2, "schema"),
+    "long-name": (2, 2, "schema"),
+    "nul-byte": (2, 2, "schema"),
+    "deep-json": (2, 1, "malformed-json"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CONTRACT))
+def test_error_contract_table(tmp_path, monkeypatch, case):
+    # each error class reports its own exit code, error.code and kind, in
+    # one JSON line; an unreadable path or a nesting past the recursion
+    # limit is a report too, not a traceback
+    import loopnil.cli as cli
+    from loopnil.errors import InternalInvariantError, LoopnilError
+
+    if case in ("internal-invariant", "bare-loopnil-error"):
+        error = InternalInvariantError if case == "internal-invariant" else LoopnilError
+
+        def fail(k, n):
+            raise error("probe")
+
+        monkeypatch.setattr(cli, "witt_rank", fail)
+    argv = {
+        "malformed-json": ["validate", space("bad_syntax.json")],
+        "schema": ["validate", space("bad_duplicate_id.json")],
+        "simplicial-identity": ["homology", space("bad_face_target.json"), "--degree", "1"],
+        "cap": ["hall-basis", "--generators", "24", "--class", "5"],
+        "internal-invariant": ["witt", "--generators", "2", "--class", "2"],
+        "bare-loopnil-error": ["witt", "--generators", "2", "--class", "2"],
+        "missing-file": ["validate", str(tmp_path / "missing.json")],
+        "directory": ["validate", str(tmp_path)],
+        "long-name": ["validate", str(tmp_path / ("a" * 5000))],
+        # no command line holds a NUL byte, but an in-process argv can
+        "nul-byte": ["validate", str(tmp_path / "a\0b")],
+        "deep-json": ["nilq", _deep_json(tmp_path), "--class", "2"],
+    }[case]
+    code, out = run_command(argv)
+    assert out.endswith("\n") and out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert (code, error["code"], error["kind"]) == _CONTRACT[case]
+    if case in ("internal-invariant", "bare-loopnil-error"):
+        assert error["message"] == "probe"
+    if case in ("missing-file", "directory", "long-name", "nul-byte"):
+        assert error["message"].startswith("cannot read input: ")
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["validate"],
+        ["homology", "--degree", "1"],
+        ["nilq", "--class", "2"],
+        ["loop-group", "--degree", "1"],
+        ["tower", "pi0", "--class", "2"],
+        ["layer-homotopy", "--class", "1", "--degree", "1"],
+    ],
+    ids=lambda verb: verb[0],
+)
+def test_every_file_verb_reports_unreadable_input(tmp_path, verb):
+    # the path goes where the verb takes it: after the verb, or after "pi0"
+    at = 2 if verb[0] == "tower" else 1
+    for path, kind in (
+        (str(tmp_path), "schema"),
+        (str(tmp_path / ("a" * 5000)), "schema"),
+        (_deep_json(tmp_path), "malformed-json"),
+    ):
+        code, out = run_command(verb[:at] + [path] + verb[at:])
+        assert code == 2 and out.count("\n") == 1, (verb, kind)
+        assert json.loads(out)["error"]["kind"] == kind, verb
+
+
+def _vertex(cid="*", faces=()):
+    return {"id": cid, "faces": list(faces)}
+
+
+def _edge(faces):
+    return {"id": "e", "faces": faces}
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([], "top level must be an object"),
+        ({"simplices": [[_vertex()]]}, 'missing or non-string "name"'),
+        ({"name": "x", "simplices": []}, '"simplices" must be a nonempty array per dimension'),
+        ({"name": "x", "simplices": [[_vertex()], {}]}, "dimension 1 must be an array"),
+        ({"name": "x", "simplices": [[_vertex()], [3]]}, "simplex entries in dimension 1 must be objects"),
+        ({"name": "x", "simplices": [[_vertex()], [{"id": "", "faces": []}]]},
+         "simplex in dimension 1 lacks a string id"),
+        ({"name": "x", "simplices": [[_vertex()], [{"id": "e"}]]}, "simplex 'e' lacks a faces array"),
+        ({"name": "x", "simplices": [[_vertex(faces=[face([])])]]}, "vertices have no faces"),
+        ({"name": "x", "simplices": [[_vertex()], [_edge([face([])])]]}, "simplex 'e' needs 2 faces, got 1"),
+        ({"name": "x", "simplices": [[_vertex()], [_edge([face([]), "*"])]]}, "face 1 of 'e' must be an object"),
+        ({"name": "x", "simplices": [[_vertex()], [_edge([face([]), face([-1])])]]},
+         "face 1 of 'e': degeneracies must be nonnegative ints"),
+        ({"name": "x", "simplices": [[_vertex()], [_edge([face([]), face([], "")])]]},
+         "face 1 of 'e': base must be a cell id"),
+        ({"name": "x", "simplices": [[_vertex("v")]]}, 'dimension 0 must hold exactly the vertex "*"'),
+    ],
+)
+def test_space_schema_rejections(tmp_path, obj, message):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(obj))
+    code, rep = run_json(["validate", str(path)])
+    assert code == 2
+    assert (rep["error"]["kind"], rep["error"]["message"]) == ("schema", message)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([], "top level must be an object"),
+        ({"generators": ["a", ""], "relators": []}, '"generators" must be a list of names'),
+        ({"generators": ["a", "a"], "relators": []}, "duplicate generator names"),
+        ({"generators": ["a"], "relators": [1]}, '"relators" must be a list of words'),
+    ],
+)
+def test_presentation_schema_rejections(tmp_path, obj, message):
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(obj))
+    code, rep = run_json(["nilq", str(path), "--class", "2"])
+    assert code == 2
+    assert (rep["error"]["kind"], rep["error"]["message"]) == ("schema", f"{path}: {message}")
+
+
+def test_cross_effect_rejects_non_integer_ranks():
+    code, rep = run_json(["cross-effect", "--class", "2", "--ranks", "x"])
+    assert code == 2
+    assert (rep["error"]["kind"], rep["error"]["message"]) == (
+        "schema",
+        "--ranks wants comma-separated integers, got 'x'",
+    )

@@ -42,8 +42,13 @@ def test_load_json_reports_position():
 
 
 def test_parse_int_rejects_junk():
-    with pytest.raises(MalformedJson):
-        parse_int("12x", "field")
+    # a decimal string takes the CLI's integer syntax: int(value, 10) would
+    # also read underscores, padding and other scripts' digits
+    for junk in ("12x", "1_0", " 7", "٣"):
+        with pytest.raises(MalformedJson):
+            parse_int(junk, "field")
+    assert parse_int("+7", "field") == 7
+    assert parse_int(str(-(2**200)), "field") == -(2**200)
     with pytest.raises(MalformedJson):
         parse_int(True, "field")
     with pytest.raises(MalformedJson):
