@@ -32,7 +32,15 @@ def _env_int(name: str, default: int) -> int:
     try:
         return ascii_int(raw)
     except ValueError:
-        raise CapExceeded(f"{name} must be an integer, got {raw!r}") from None
+        digits = raw[1:] if raw[:1] in ("+", "-") else raw
+        if ascii_digits(digits):
+            raise CapExceeded(
+                f"{name} of {len(digits)} digits exceeds the "
+                f"{sys.get_int_max_str_digits()}-digit limit of integer conversion"
+            ) from None
+        # a report echoes only the start of a long value
+        shown = repr(raw) if len(raw) <= 20 else f"{raw[:20]!r}... ({len(raw)} characters)"
+        raise CapExceeded(f"{name} must be an integer, got {shown}") from None
 
 
 @dataclass(frozen=True)

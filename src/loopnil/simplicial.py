@@ -14,7 +14,7 @@ from .errors import IdentityViolation, InternalInvariantError, LoopnilError, Sch
 BASEPOINT = "*"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimplexRef:
     """Canonical (Eilenberg-Zilber) form s_{i1} ... s_{ip} applied to a
     nondegenerate cell; the word is strictly decreasing."""

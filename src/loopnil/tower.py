@@ -5,9 +5,15 @@ one dimension higher that are not s0-degenerate.  Everything downstream is
 computed at this group level; classifying-space conventions shift reported
 homotopy degrees by one, so pi_s here corresponds to pi_{s+1} of the
 delooped object.
+
+A loop group's generators and the words of its faces and degeneracies are
+a function of the space alone: they are built once per space, shared by
+every loop group on it and kept for the space's lifetime.  Caps stay with
+each loop group, which checks every degree it reads against its own.
 """
 
 import math
+import weakref
 
 from .caps import current_caps
 from .errors import InternalInvariantError, LoopnilError
@@ -18,33 +24,65 @@ from .nilq import nilpotent_quotient
 from .simplicial import require_valid
 
 
+class _Structure:
+    """A space's loop-group structure: generators and their index per
+    degree, the words of each map, and one word ((g, 1),) per letter g,
+    which every map's single-letter words share."""
+
+    def __init__(self):
+        self.gens = {}
+        self.index = {}
+        self.maps = {}
+        self._letters = []
+
+    def letters(self, count):
+        """The one-letter words of letters 0..count-1, and perhaps more."""
+        for g in range(len(self._letters), count):
+            self._letters.append(((g, 1),))
+        return self._letters
+
+
+# a space's structure lives exactly as long as the space does
+_STRUCTURE = weakref.WeakKeyDictionary()
+
+
 class LoopGroup:
     """Free simplicial group on a reduced space: degree-q generators are the
     (q+1)-simplices minus the s0-degenerate ones, with the twisted face
     d_0 g = (d_1 g) * (d_0 g)^-1 and shifted faces/degeneracies otherwise.
 
-    Its caps (the environment's unless given) govern every stage, layer and
+    The generators and the words of every face and degeneracy depend on
+    the space alone, and a space is never mutated after construction, so
+    they are built once per space, shared by every loop group on it and
+    kept for the space's lifetime.  Its caps (the environment's unless
+    given) are its own: they govern every degree it reads, even one
+    another group on the space has built, and every stage, layer and
     homotopy request built on it, the element arithmetic included."""
 
     def __init__(self, space, caps=None):
         require_valid(space)
         self.space = space
         self.caps = caps or current_caps()
-        self._gens = {}
-        self._index = {}
-        self._maps = {}
+        self._checked = set()
+        self._shared = _STRUCTURE.get(space)
+        if self._shared is None:
+            self._shared = _STRUCTURE[space] = _Structure()
 
     def generators(self, q):
-        """Generator refs in degree q; a degree over the degree cap is
-        refused before it is enumerated, and so is never cached."""
+        """Generator refs in degree q.  A degree over this group's degree
+        cap is refused before it is read or enumerated; a degree is checked
+        once and recorded only when it passes, so an over-cap one is
+        refused every time."""
         if q < 0:
             return []
-        if q not in self._gens:
+        if q not in self._checked:
             self.caps.check_degree(q, f"loop group of {self.space.name}")
-            gens = [r for r in self.space.refs(q + 1) if not r.is_s0_degenerate]
-            self._gens[q] = gens
-            self._index[q] = {r: i for i, r in enumerate(gens)}
-        return self._gens[q]
+            self._checked.add(q)
+        gens = self._shared.gens
+        if q not in gens:
+            gens[q] = [r for r in self.space.refs(q + 1) if not r.is_s0_degenerate]
+            self._shared.index[q] = {r: i for i, r in enumerate(gens[q])}
+        return gens[q]
 
     def gen_count(self, q):
         return len(self.generators(q))
@@ -52,20 +90,23 @@ class LoopGroup:
     def map_words(self, q, i, kind):
         """Target degree and the word of every degree-q generator under d_i
         (kind 'face') or s_i (kind 'degeneracy'), built in one pass on first
-        use and kept.  A (q+1)-simplex names the generator it is, or the
-        identity when it is s0-degenerate; the twisted face
-        (d_1 g)(d_0 g)^-1 is empty exactly when both name the same one."""
+        use on the space; both degrees pass this group's cap on every call.
+        A (q+1)-simplex names the generator it is, or the identity when it
+        is s0-degenerate; the twisted face (d_1 g)(d_0 g)^-1 is empty
+        exactly when both name the same one."""
+        face = kind == "face"
+        if face and not (1 <= q and 0 <= i <= q):
+            raise LoopnilError(f"face d_{i} undefined in loop-group degree {q}")
+        if not face and not (0 <= i <= q):
+            raise LoopnilError(f"degeneracy s_{i} undefined in degree {q}")
+        target = q - 1 if face else q + 1
+        gens = self.generators(q)
+        count = self.gen_count(target)
         key = (q, i, kind)
-        if key not in self._maps:
-            face = kind == "face"
-            if face and not (1 <= q and 0 <= i <= q):
-                raise LoopnilError(f"face d_{i} undefined in loop-group degree {q}")
-            if not face and not (0 <= i <= q):
-                raise LoopnilError(f"degeneracy s_{i} undefined in degree {q}")
-            target = q - 1 if face else q + 1
-            gens, space = self.generators(q), self.space
-            self.generators(target)
-            index = self._index[target]
+        maps = self._shared.maps
+        if key not in maps:
+            space, index = self.space, self._shared.index[target]
+            letters = self._shared.letters(count)
 
             def letter(ref):
                 if ref.is_s0_degenerate:
@@ -78,18 +119,24 @@ class LoopGroup:
                 words = [letter(space.degeneracy(ref, i + 1)) for ref in gens]
                 if None in words:
                     raise InternalInvariantError("degeneracy of a generator vanished")
-                words = [((g, 1),) for g in words]
+                words = [letters[g] for g in words]
             elif i:
                 words = [letter(space.face(ref, i + 1)) for ref in gens]
-                words = [() if g is None else ((g, 1),) for g in words]
+                words = [() if g is None else letters[g] for g in words]
             else:
                 words = []
                 for ref in gens:
                     first, second = letter(space.face(ref, 1)), letter(space.face(ref, 0))
-                    parts = () if first == second else ((first, 1), (second, -1))
-                    words.append(tuple(p for p in parts if p[0] is not None))
-            self._maps[key] = (target, words)
-        return self._maps[key]
+                    if first == second:
+                        words.append(())
+                    elif second is None:
+                        words.append(letters[first])
+                    elif first is None:
+                        words.append(((second, -1),))
+                    else:
+                        words.append(((first, 1), (second, -1)))
+            maps[key] = (target, words)
+        return maps[key]
 
     def degeneracy_masks(self, q):
         """Bit i of entry g is set when generator g of degree q is the image

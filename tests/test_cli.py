@@ -212,6 +212,27 @@ def test_cap_env_must_be_integer(monkeypatch):
     assert code == 3 and "total Hall rank 6 exceeds cap 5" in rep["error"]["message"]
 
 
+def test_cap_env_reports_long_values_briefly(monkeypatch):
+    # an override of more digits than Python converts is still an integer:
+    # it is refused by its digit count, and a long non-integer by a prefix
+    argv = ["collect", "--generators", "3", "--class", "2", "--word", "a"]
+    limit = sys.get_int_max_str_digits()
+    for raw in ("9" * 5000, "-" + "9" * 5000):
+        monkeypatch.setenv("LOOPNIL_MAX_CLASS", raw)
+        code, rep = run_json(argv)
+        assert code == 3
+        assert rep["error"]["message"] == (
+            f"LOOPNIL_MAX_CLASS of 5000 digits exceeds the {limit}-digit limit "
+            "of integer conversion"
+        )
+    monkeypatch.setenv("LOOPNIL_MAX_CLASS", "9" * 4999 + "x")
+    code, rep = run_json(argv)
+    assert code == 3
+    assert rep["error"]["message"] == (
+        "LOOPNIL_MAX_CLASS must be an integer, got '99999999999999999999'... (5000 characters)"
+    )
+
+
 def test_fixture_check_passes():
     code, rep = run_json(["fixture-check"])
     assert code == 0

@@ -68,6 +68,56 @@ def test_map_words_builds_each_map_once(monkeypatch):
     assert len(calls) == 6
 
 
+def test_loop_groups_on_one_space_share_its_structure(monkeypatch):
+    from loopnil.simplicial import SimplicialSet
+
+    space = moore_space(2, 2)
+    first = loop_group(space)
+    maps = [(2, 0, "face"), (2, 1, "face"), (3, 3, "face")]
+    maps += [(1, 0, "degeneracy"), (2, 2, "degeneracy")]
+    built = {key: first.map_words(*key) for key in maps}
+    counts = [first.gen_count(q) for q in range(4)]
+    calls = []
+    refs, face = SimplicialSet.refs, SimplicialSet.face
+    monkeypatch.setattr(
+        SimplicialSet, "refs", lambda self, q: calls.append(("refs", q)) or refs(self, q)
+    )
+    monkeypatch.setattr(
+        SimplicialSet, "face", lambda self, ref, i: calls.append(("face", i)) or face(self, ref, i)
+    )
+    second = loop_group(space)
+    assert [second.gen_count(q) for q in range(4)] == counts
+    for key, value in built.items():
+        assert second.map_words(*key) is value
+    assert second.degeneracy_masks(3) == first.degeneracy_masks(3)
+    assert calls == []
+    # another space of the same shape builds its own
+    loop_group(moore_space(2, 2)).map_words(2, 0, "face")
+    assert [c for c in calls if c[0] == "refs"] == [("refs", 3), ("refs", 2)]
+
+
+def test_caps_stay_per_loop_group_on_a_shared_space():
+    from loopnil.caps import Caps
+    from loopnil.errors import CapExceeded
+
+    space = sphere(2)
+    wide = loop_group(space, Caps(max_degree=6))
+    wide.gen_count(3)
+    wide.map_words(3, 0, "face")
+    narrow = loop_group(space, Caps(max_degree=2))
+    with pytest.raises(CapExceeded, match="degree 3 exceeds cap 2"):
+        narrow.gen_count(3)
+    with pytest.raises(CapExceeded, match="degree 3 exceeds cap 2"):
+        narrow.map_words(3, 0, "face")
+    with pytest.raises(CapExceeded, match="degree 3 exceeds cap 2"):
+        narrow.degeneracy_masks(3)
+    # a map into an over-cap degree is refused as well, though built
+    wide.map_words(2, 0, "degeneracy")
+    with pytest.raises(CapExceeded, match="degree 3 exceeds cap 2"):
+        narrow.map_words(2, 0, "degeneracy")
+    assert narrow.gen_count(2) == wide.gen_count(2)
+
+
 def test_map_words_rejects_undefined_maps_without_generators():
     from loopnil.errors import LoopnilError
 
