@@ -30,17 +30,9 @@ def _env_int(name: str, default: int) -> int:
     if raw is None or raw == "":
         return default
     try:
-        return ascii_int(raw)
+        return ascii_int(raw, name)
     except ValueError:
-        digits = raw[1:] if raw[:1] in ("+", "-") else raw
-        if ascii_digits(digits):
-            raise CapExceeded(
-                f"{name} of {len(digits)} digits exceeds the "
-                f"{sys.get_int_max_str_digits()}-digit limit of integer conversion"
-            ) from None
-        # a report echoes only the start of a long value
-        shown = repr(raw) if len(raw) <= 20 else f"{raw[:20]!r}... ({len(raw)} characters)"
-        raise CapExceeded(f"{name} must be an integer, got {shown}") from None
+        raise CapExceeded(f"{name} must be an integer, got {quoted(raw)}") from None
 
 
 @dataclass(frozen=True)
@@ -98,13 +90,29 @@ def ascii_digits(text):
     return text.isascii() and text.isdigit()
 
 
-def ascii_int(text):
+def ascii_int(text, what=None):
     """An optional sign, then :func:`ascii_digits`; the one integer syntax
     of text from outside the program.  Raises ``ValueError`` on any other
-    text, and on digits past Python's int-to-str conversion limit."""
-    if not ascii_digits(text[1:] if text[:1] in ("+", "-") else text):
+    text, and on digits past Python's int-to-str conversion limit, which
+    are refused instead as a cap on ``what`` when it is given."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not ascii_digits(digits):
         raise ValueError(f"invalid integer {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        if what is None:
+            raise
+        raise CapExceeded(
+            f"{what} of {len(digits)} digits exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit limit of integer conversion"
+        ) from None
+
+
+def quoted(text):
+    """``repr`` of a text from outside the program for a report: whole up
+    to 20 characters, else its first 20 and its length."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
 
 
 def decimal(value):

@@ -16,7 +16,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from .abelian import AbelianInvariants
-from .caps import ascii_digits, ascii_int, current_caps
+from .caps import ascii_digits, ascii_int, current_caps, quoted
 from .errors import CapExceeded, IdentityViolation, LoopnilError, MalformedJson, SchemaViolation
 from .hall import capped_hall_rank, cross_effect_kernel, hall_basis, tree_str, witt_rank
 from .jsonio import canonical_dumps, digest_bytes, load_json_bytes, make_report, parse_int
@@ -68,15 +68,9 @@ def parse_word(text, names, k):
         name, caret, exp = token.partition("^")
         if caret:
             try:
-                e = ascii_int(exp)
+                e = ascii_int(exp, "exponent")
             except ValueError:
-                digits = exp[1:] if exp[:1] in ("+", "-") else exp
-                if not ascii_digits(digits):
-                    raise MalformedJson(f"bad exponent in token {token!r}") from None
-                raise CapExceeded(
-                    f"exponent of {len(digits)} digits exceeds the "
-                    f"{sys.get_int_max_str_digits()}-digit limit of integer conversion"
-                ) from None
+                raise MalformedJson(f"bad exponent in token {quoted(token)}") from None
         else:
             e = 1
         if name in names:
@@ -86,9 +80,9 @@ def parse_word(text, names, k):
             digits = name[1:].lstrip("0")
             g = int(digits or "0") if len(digits) <= len(str(k)) else 0
         else:
-            raise SchemaViolation(f"unknown generator {name!r}")
+            raise SchemaViolation(f"unknown generator {quoted(name)}")
         if not 1 <= g <= k:
-            raise SchemaViolation(f"generator {name!r} out of range 1..{k}")
+            raise SchemaViolation(f"generator {quoted(name)} out of range 1..{k}")
         word.append((g, e))
     return word
 
@@ -190,7 +184,7 @@ def cmd_cross_effect(args):
     try:
         ranks = [ascii_int(tok) for tok in args.ranks.split(",")]
     except ValueError:
-        raise SchemaViolation(f"--ranks wants comma-separated integers, got {args.ranks!r}")
+        raise SchemaViolation(f"--ranks wants comma-separated integers, got {quoted(args.ranks)}")
     if len(ranks) != args.cls + 1 or any(r < 1 for r in ranks):
         raise SchemaViolation(
             f"--ranks wants {args.cls + 1} positive integers for class {args.cls}"

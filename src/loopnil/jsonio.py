@@ -9,7 +9,7 @@ identical inputs is byte-identical.
 import hashlib
 import json
 
-from .caps import ascii_int, decimal
+from .caps import ascii_int, decimal, quoted
 from .errors import MalformedJson
 
 SCHEMA_TAG = "loopnil/1"
@@ -46,7 +46,7 @@ def parse_int(value, what):
         try:
             return ascii_int(value)
         except ValueError:
-            raise MalformedJson(f"{what} is not a decimal integer: {value!r}") from None
+            raise MalformedJson(f"{what} is not a decimal integer: {quoted(value)}") from None
     raise MalformedJson(f"{what} must be an integer")
 
 

@@ -48,18 +48,18 @@ product of the x_i^-e_i, and every term of (x_i - 1)(g - 1) has degree
 >= 2 w > n, so the peeled element is g - sum_i e_i (x_i - 1): no ring product
 is needed.
 
-Commutators by sifting.  [u, v] = u^-1 v^-1 u v = (vu)^-1 (uv), so it is the
-quotient a^-1 b of two normal forms, a = vu and b = uv, each one product.
-Collecting the word u^-1 v^-1 u v instead would start from both inverted
-normal forms, whose letters run in descending order, the worst case for
-collection from the left.  The quotient is sifted (Sims, Computation with
-Finitely Presented Groups, ch. 9): walk the letters in order and, where the
-current normal form and b differ at letter i by d = b_i - cur_i, collect
-x_i^d onto it.  That adds d at letter i and changes no earlier letter,
-because every mover and every tail letter comes after i.  So after step i
-the current form agrees with b up to i, and at the end b = a x_1^d_1 ...
-x_r^d_r.  The product of the x_i^d_i is in ascending letter order, a normal
-form, so by uniqueness it is a^-1 b.
+Quotients by sifting.  [u, v] = u^-1 v^-1 u v = (vu)^-1 (uv), so it is the
+quotient a^-1 b of two normal forms, a = vu and b = uv, each one product; u^-1
+is the quotient with a = u and b = 1.  Collecting u^-1 v^-1 u v or u's
+reversed word would start from inverted normal forms, whose letters descend,
+the worst case for collection from the left.  The quotient is sifted (Sims,
+Computation with Finitely Presented Groups, ch. 9): walk the letters in order
+and, where the current normal form and b differ at letter i by
+d = b_i - cur_i, collect x_i^d onto it, which is the addition alone when no
+mover is nonzero.  That adds d at letter i and changes no earlier letter, as
+every mover and every tail letter comes after i.  So after step i the current
+form agrees with b up to i, and b = a x_1^d_1 ... x_r^d_r, a normal form as
+its letters ascend: by uniqueness it is a^-1 b.
 """
 
 import math
@@ -193,8 +193,8 @@ class RuleSystem:
     pairs with p + q > n commute and get none.  The engines of every
     generator count share one table per class of rules, keyed by pattern
     (the two trees with their leaves renumbered 1..m in order), and of
-    letter ring elements, keyed by Hall tree (module docstring); each engine
-    keeps its own view of the rules by letter index.
+    letter ring elements, held there once by Hall tree (module docstring);
+    each engine keeps its own view of the rules by letter index.
 
     ``rank``, the count of its letters (the Hall trees of weights 1..n), is
     the size of the group.  Built through :func:`rule_system`, which checks
@@ -220,7 +220,6 @@ class RuleSystem:
         # with (none when 2 p > n)
         self._mover_stop = [bisect_right(self.weights, n - p) if 2 * p <= n else 0 for p in self.weights]
         self.ring = TruncatedRing(n)
-        self._poly = {}
         self._rules = {}
         self._lock = threading.Lock()
 
@@ -235,22 +234,18 @@ class RuleSystem:
         return range(bisect_left(self.weights, w), bisect_right(self.weights, w))
 
     def letter_poly(self, i):
-        p = self._poly.get(i)
+        t = self.letters[i]
+        key = (self.n, t)
+        p = _class_polys.get(key)
         if p is None:
-            t = self.letters[i]
-            key = (self.n, t)
-            p = _class_polys.get(key)
-            if p is None:
-                if isinstance(t, int):
-                    p = self.ring.gen_unit(t - 1)
-                else:
-                    p = self.ring.commutator(
-                        self.letter_poly(self.index[t[0]]), self.letter_poly(self.index[t[1]])
-                    )
-                with _class_lock:
-                    p = _class_polys.setdefault(key, p)
-            with self._lock:
-                self._poly[i] = p
+            if isinstance(t, int):
+                p = self.ring.gen_unit(t - 1)
+            else:
+                p = self.ring.commutator(
+                    self.letter_poly(self.index[t[0]]), self.letter_poly(self.index[t[1]])
+                )
+            with _class_lock:
+                p = _class_polys.setdefault(key, p)
         return p
 
     # -- exponent extraction -------------------------------------------------
@@ -402,21 +397,25 @@ class RuleSystem:
 
     def solve(self, a, b):
         """Normal-form exponents of a^-1 b for normal forms ``a`` and ``b``,
-        by sifting.  Walk the letters in order; where the current vector
-        (``a`` at first) and ``b`` differ at letter i, record d = b_i - cur_i
+        by sifting a copy of ``a``.  Walk the letters in order; where the
+        current vector and ``b`` differ at letter i, record d = b_i - cur_i
         and collect x_i^d onto the current vector.  Collecting x_i^d onto a
         normal form adds d at letter i and changes no earlier letter, because
-        the movers and the tail letters all come after i (:meth:`collect`).
-        So after step i the vector agrees with ``b`` up to i, and at the end
+        the movers and the tail letters all come after i (:meth:`collect`);
+        with no nonzero mover the step is that addition alone.  So after
+        step i the vector agrees with ``b`` up to i, and at the end
         b = a x_1^d_1 ... x_r^d_r.  That product is in ascending letter order,
         so it is a normal form, and by uniqueness it is a^-1 b."""
         out = [0] * self.rank
-        cur = a
+        cur = list(a)
         for i, want in enumerate(b):
             d = want - cur[i]
             if d:
                 out[i] = d
-                cur = self.collect([(i, d)], cur)
+                if any(cur[i + 1 : self._mover_stop[i]]):
+                    cur = self.collect([(i, d)], cur)
+                else:
+                    cur[i] = want
         return out
 
     def collect(self, word, vec=None):
@@ -617,11 +616,9 @@ def nil_multiply(u, v):
 
 
 def nil_inverse(u):
-    # the reversed word of inverse letter powers: sifting u^-1 as
-    # solve(u, identity) does as many tail lookups and is no faster
+    """u^-1 = u^-1 1, by sifting (module docstring)."""
     sys = rule_system(u.k, u.n)
-    vec = sys.collect(invert_free_word(u.word()))
-    return NilpotentElement(u.k, u.n, tuple(vec))
+    return NilpotentElement(u.k, u.n, tuple(sys.solve(u.exponents, [0] * sys.rank)))
 
 
 def nil_power(u, e):

@@ -144,6 +144,24 @@ def test_collect_word_aliases(tmp_path):
         ("x²", "schema", "unknown generator 'x²'"),
         ("a^٣", "malformed-json", "bad exponent in token 'a^٣'"),
         ("a^1_000", "malformed-json", "bad exponent in token 'a^1_000'"),
+        # bad text is quoted whole up to 20 characters, else by a prefix
+        ("q" * 20, "schema", "unknown generator 'qqqqqqqqqqqqqqqqqqqq'"),
+        ("q" * 21, "schema", "unknown generator 'qqqqqqqqqqqqqqqqqqqq'... (21 characters)"),
+        pytest.param(
+            "x" + "9" * 5000,
+            "schema",
+            "generator 'x9999999999999999999'... (5001 characters) out of range 1..2",
+            id="long-letter",
+        ),
+        pytest.param(
+            "q" * 5000, "schema", "unknown generator 'qqqqqqqqqqqqqqqqqqqq'... (5000 characters)", id="long-name"
+        ),
+        pytest.param(
+            "a^x" + "9" * 4997,
+            "malformed-json",
+            "bad exponent in token 'a^x99999999999999999'... (5000 characters)",
+            id="long-exponent",
+        ),
     ],
 )
 def test_word_exponents_and_generator_range(tmp_path, word, kind, message):
@@ -501,7 +519,8 @@ def test_integers_too_long_to_read_are_rejected(tmp_path):
     # malformed input, both exit 2 with a report
     b = "9" * 5000
     code, rep = run_json(["collect", "--generators", "2", "--class", "2", "--word", f"x{b}"])
-    assert code == 2 and rep["error"]["message"] == f"generator 'x{b}' out of range 1..2"
+    assert code == 2
+    assert rep["error"]["message"] == f"generator 'x{b[:19]}'... (5001 characters) out of range 1..2"
     # leading zeros add no length
     code, rep = run_json(["collect", "--generators", "2", "--class", "2", "--word", f"x{'0' * 5000}2"])
     assert code == 0 and rep["result"]["normal_form"] == [{"letter": "x2", "exponent": 1}]
@@ -706,4 +725,11 @@ def test_cross_effect_rejects_non_integer_ranks():
     assert (rep["error"]["kind"], rep["error"]["message"]) == (
         "schema",
         "--ranks wants comma-separated integers, got 'x'",
+    )
+    # a rank too long to convert is not an integer either, and is quoted briefly
+    code, rep = run_json(["cross-effect", "--class", "1", "--ranks", "9" * 5000 + ",1"])
+    assert code == 2
+    assert (rep["error"]["kind"], rep["error"]["message"]) == (
+        "schema",
+        "--ranks wants comma-separated integers, got '99999999999999999999'... (5002 characters)",
     )

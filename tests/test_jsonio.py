@@ -53,6 +53,13 @@ def test_parse_int_rejects_junk():
         parse_int(True, "field")
     with pytest.raises(MalformedJson):
         parse_int(None, "field")
+    # the message quotes junk whole up to 20 characters, else by a prefix
+    with pytest.raises(MalformedJson) as err:
+        parse_int("9" * 19 + "x", "field")
+    assert str(err.value) == f"field is not a decimal integer: '{'9' * 19}x'"
+    with pytest.raises(MalformedJson) as err:
+        parse_int("9" * 4999 + "x", "field")
+    assert str(err.value) == "field is not a decimal integer: '99999999999999999999'... (5000 characters)"
 
 
 def test_rule_cache_safe_for_concurrent_readers():

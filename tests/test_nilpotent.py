@@ -512,9 +512,13 @@ def test_engines_of_one_class_share_rules(n, monkeypatch):
         engines.append(sys)
     assert len(nilpotent._class_rules) == len(derived_patterns)
     # each rule and each letter ring element equals a fresh derivation, on
-    # the letter pair itself, by the engine's own ring
+    # the letter pair itself, by the engine's own ring; an engine reads its
+    # letter ring elements from the class table
+    table = dict(nilpotent._class_polys)
     for sys in engines:
-        rules, polys = dict(sys._rules), dict(sys._poly)
+        rules = dict(sys._rules)
+        polys = {i: table[n, t] for i, t in enumerate(sys.letters) if (n, t) in table}
+        assert polys
         _empty_class_tables(monkeypatch)
         assert all(_fresh_rule(sys, hi, lo) == rule for (hi, lo), rule in rules.items())
         fresh = RuleSystem(sys.k, n)
@@ -943,6 +947,63 @@ def test_sifted_commutators_look_up_fewer_tails(monkeypatch):
         _word_route(u, v)
     word = len(tails) - sifted
     assert sifted <= 0.6 * word, (sifted, word)
+
+
+def _sift_steps(sys, a, b):
+    """For each letter where sifting a^-1 b records an exponent, whether
+    that letter has a nonzero mover then, with every step collected."""
+    cur, steps = list(a), []
+    for i, want in enumerate(b):
+        d = want - cur[i]
+        if d:
+            steps.append(any(cur[i + 1 : sys._mover_stop[i]]))
+            cur = sys.collect([(i, d)], cur)
+    return steps
+
+
+@pytest.mark.parametrize("k,n", [(2, 6), (3, 5), (4, 4)])
+def test_solve_collects_only_at_steps_with_a_mover(k, n, monkeypatch):
+    # a step whose movers are all zero is a bare addition: solve collects
+    # once per step with a nonzero mover and at no other step
+    _empty_class_tables(monkeypatch)
+    sys = RuleSystem(k, n)
+    rng = random.Random(37 * k + n)
+    forms = [tuple(sys.collect([(g - 1, e) for g, e in random_word(rng, k)])) for _ in range(24)]
+    zero = [0] * sys.rank
+    calls = []
+    _count_calls(sys, "collect", calls)
+    # 1^-1 b is sifted by bare steps alone
+    for b in forms:
+        assert sys.solve(zero, b) == list(b)
+    assert not calls
+    with_mover = 0
+    for a, b in zip(forms, forms[1:]):
+        steps = _sift_steps(sys, a, b)
+        calls.clear()
+        d = sys.solve(a, b)
+        assert len(calls) == sum(steps), (a, b)
+        with_mover += sum(steps)
+        assert sys.collect([(i, e) for i, e in enumerate(d) if e], a) == list(b)
+    assert with_mover
+
+
+@pytest.mark.parametrize("k,n", SIFT_GROUPS)
+def test_sifted_inverse_matches_the_reversed_word(k, n):
+    # u^-1 sifted as u^-1 1 equals the reversed word of inverse letter powers
+    sys = rule_system(k, n)
+    for u, v in _random_forms(sys, random.Random(23 * k + n), 12):
+        for x in (u, v):
+            assert nil_inverse(x).exponents == tuple(sys.collect(invert_free_word(x.word())))
+
+
+def test_quotients_leave_list_inputs_unmodified():
+    sys = rule_system(3, 4)
+    for u, v in _random_forms(sys, random.Random(61), 10):
+        a, b = list(u.exponents), list(v.exponents)
+        sys.solve(a, b)
+        nil_inverse(NilpotentElement(3, 4, a))
+        nil_commutator(NilpotentElement(3, 4, a), NilpotentElement(3, 4, b))
+        assert (a, b) == (list(u.exponents), list(v.exponents))
 
 
 def test_powers_and_images_collect_nothing_onto_the_identity(monkeypatch):
