@@ -4,6 +4,11 @@ Exit codes: 0 success, 2 a failed check (``validate``, ``fixture-check``) or
 a usage error.  Every other failure is a :class:`~loopnil.errors.LoopnilError`
 that carries its own exit code and report ``code`` and ``kind``; the table
 lives in :mod:`loopnil.errors`.
+
+Each argument is declared once, in a parent parser that every verb taking it
+lists, and the integer options share one ``type``, :func:`int_option`.  Text
+from outside echoed in a report or usage error (option values, ids, names,
+input paths) is shortened by :func:`~loopnil.caps.quoted`.
 """
 
 import argparse
@@ -41,7 +46,9 @@ def read_input(path):
         with open(path, "rb") as fh:
             return fh.read()
     except (OSError, ValueError) as exc:
-        raise SchemaViolation(f"cannot read input: {exc}") from None
+        # the OS's reason, without its own whole echo of the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise SchemaViolation(f"cannot read input: {quoted(path)}: {reason}") from None
 
 
 def read_space(path):
@@ -289,8 +296,27 @@ def cmd_fixture_check(args):
 # dispatch
 
 
+def int_option(text):
+    """An integer option in :func:`~loopnil.caps.ascii_int` syntax; bad text
+    is echoed briefly, by :func:`~loopnil.caps.quoted`, in argparse's usage
+    error."""
+    try:
+        return ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {quoted(text)}") from None
+
+
+def _argument(*names, **kwargs):
+    """A parent parser declaring one argument, for every verb that takes it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 @functools.cache
 def build_parser():
+    # each argument is declared once; a verb lists its parents in the order
+    # of its usage line
     top = argparse.ArgumentParser(
         prog="loopnil",
         description=(
@@ -302,62 +328,28 @@ def build_parser():
         "--timing", action="store_true", help="include elapsed_ms in the report"
     )
     sub = top.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("validate", help="validate a space file")
-    p.add_argument("path")
-    p.set_defaults(handler=cmd_validate)
-
-    p = sub.add_parser("homology", help="reduced homology of a space")
-    p.add_argument("path")
-    p.add_argument("--degree", type=ascii_int, required=True)
-    p.set_defaults(handler=cmd_homology)
-
-    p = sub.add_parser("hall-basis", help="Hall basis of basic commutators")
-    p.add_argument("--generators", type=ascii_int, required=True)
-    p.add_argument("--class", dest="cls", type=ascii_int, required=True)
-    p.set_defaults(handler=cmd_hall_basis)
-
-    p = sub.add_parser("witt", help="rank of a free Lie module component")
-    p.add_argument("--generators", type=ascii_int, required=True)
-    p.add_argument("--class", dest="cls", type=ascii_int, required=True)
-    p.set_defaults(handler=cmd_witt)
-
-    p = sub.add_parser("collect", help="normal form in a free nilpotent group")
-    p.add_argument("--generators", type=ascii_int, required=True)
-    p.add_argument("--class", dest="cls", type=ascii_int, required=True)
-    p.add_argument("--word", required=True)
-    p.set_defaults(handler=cmd_collect)
-
-    p = sub.add_parser("cross-effect", help="kernel of the first collapse map")
-    p.add_argument("--class", dest="cls", type=ascii_int, required=True)
-    p.add_argument("--ranks", required=True)
-    p.set_defaults(handler=cmd_cross_effect)
-
-    p = sub.add_parser("nilq", help="class-n quotient of a presented group")
-    p.add_argument("path")
-    p.add_argument("--class", dest="cls", type=ascii_int, required=True)
-    p.set_defaults(handler=cmd_nilq)
-
-    p = sub.add_parser("loop-group", help="loop-group generators and face words")
-    p.add_argument("path")
-    p.add_argument("--degree", type=ascii_int, required=True)
-    p.set_defaults(handler=cmd_loop_group)
-
-    p = sub.add_parser("tower", help="lower-central tower computations")
-    p.add_argument("sub", choices=["pi0"])
-    p.add_argument("path")
-    p.add_argument("--class", dest="cls", type=ascii_int, required=True)
-    p.set_defaults(handler=cmd_tower)
-
-    p = sub.add_parser("layer-homotopy", help="homotopy of a graded layer")
-    p.add_argument("path")
-    p.add_argument("--class", dest="cls", type=ascii_int, required=True)
-    p.add_argument("--degree", type=ascii_int, required=True)
-    p.set_defaults(handler=cmd_layer_homotopy)
-
-    p = sub.add_parser("fixture-check", help="recompute and diff all fixtures")
-    p.set_defaults(handler=cmd_fixture_check)
-
+    path = _argument("path")
+    gens = _argument("--generators", type=int_option, required=True)
+    cls = _argument("--class", dest="cls", type=int_option, required=True)
+    degree = _argument("--degree", type=int_option, required=True)
+    word = _argument("--word", required=True)
+    ranks = _argument("--ranks", required=True)
+    tower_sub = _argument("sub", choices=["pi0"])
+    verbs = [
+        ("validate", cmd_validate, [path], "validate a space file"),
+        ("homology", cmd_homology, [path, degree], "reduced homology of a space"),
+        ("hall-basis", cmd_hall_basis, [gens, cls], "Hall basis of basic commutators"),
+        ("witt", cmd_witt, [gens, cls], "rank of a free Lie module component"),
+        ("collect", cmd_collect, [gens, cls, word], "normal form in a free nilpotent group"),
+        ("cross-effect", cmd_cross_effect, [cls, ranks], "kernel of the first collapse map"),
+        ("nilq", cmd_nilq, [path, cls], "class-n quotient of a presented group"),
+        ("loop-group", cmd_loop_group, [path, degree], "loop-group generators and face words"),
+        ("tower", cmd_tower, [tower_sub, path, cls], "lower-central tower computations"),
+        ("layer-homotopy", cmd_layer_homotopy, [path, cls, degree], "homotopy of a graded layer"),
+        ("fixture-check", cmd_fixture_check, [], "recompute and diff all fixtures"),
+    ]
+    for verb, handler, parents, text in verbs:
+        sub.add_parser(verb, parents=parents, help=text).set_defaults(handler=handler)
     return top
 
 

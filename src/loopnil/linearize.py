@@ -72,10 +72,21 @@ class SimplicialAbelianGroup:
         """The normalized boundary sum (-1)^i d_i from degree q to q-1 as
         ``{col: value}`` rows: one row per nondegenerate basis element of
         degree q-1 and one column per nondegenerate basis element of degree
-        q, each numbered in ascending order."""
+        q, each numbered in ascending order.  Each face is summed in as it is
+        built, so one face's rows are held at a time."""
         cols, keep = self.nondegenerate(q), self.nondegenerate(q - 1)
-        faces = (self._face(q, i, cols) for i in range(q + 1))
-        return _alternating_sum([[rows[r] for r in keep] for rows in faces])
+        out = [{} for _ in keep]
+        for i in range(q + 1):
+            rows = self._face(q, i, cols)
+            sign = -1 if i % 2 else 1
+            for acc, r in zip(out, keep):
+                for j, x in rows[r].items():
+                    y = acc.get(j, 0) + sign * x
+                    if y:
+                        acc[j] = y
+                    else:
+                        del acc[j]
+        return out
 
 
 def moore_homology(group, s):
@@ -124,17 +135,3 @@ def moore_homology(group, s):
     facs = intmat.sparse_invariant_factors(high)
     return AbelianInvariants(n_s - r_s - len(facs), tuple(x for x in facs if x != 1))
 
-
-def _alternating_sum(faces):
-    """Rows of sum (-1)^i d_i for the sparse faces d_0 .. d_q."""
-    out = [{} for _ in faces[0]]
-    for i, face in enumerate(faces):
-        sign = -1 if i % 2 else 1
-        for acc, row in zip(out, face):
-            for j, x in row.items():
-                y = acc.get(j, 0) + sign * x
-                if y:
-                    acc[j] = y
-                else:
-                    del acc[j]
-    return out

@@ -9,6 +9,7 @@ simplicial identities, so only the faces of nondegenerate cells are stored.
 import itertools
 from dataclasses import dataclass
 
+from .caps import quoted
 from .errors import IdentityViolation, InternalInvariantError, LoopnilError, SchemaViolation
 
 BASEPOINT = "*"
@@ -82,7 +83,7 @@ class SimplicialSet:
         for q, ids in enumerate(self.cells):
             for cid in ids:
                 if cid in self.dim_of:
-                    raise SchemaViolation(f"duplicate cell id {cid!r}", {"id": cid})
+                    raise SchemaViolation(f"duplicate simplex id {quoted(cid)}", _id_detail(cid))
                 self.dim_of[cid] = q
         self._violations = None
 
@@ -152,64 +153,37 @@ class SimplicialSet:
 
     def _find_violations(self):
         out = []
+
+        def flag(cid, rule, detail):
+            out.append({"simplex": cid, "rule": rule, "detail": detail})
+
         if len(self.cells) == 0 or len(self.cells[0]) != 1:
-            out.append(
-                {
-                    "simplex": BASEPOINT,
-                    "rule": "reduced",
-                    "detail": "exactly one 0-simplex required",
-                }
-            )
+            flag(BASEPOINT, "reduced", "exactly one 0-simplex required")
             return out
         for q in range(1, len(self.cells)):
             for cid in self.cells[q]:
                 refs = self.faces.get(cid)
                 if refs is None or len(refs) != q + 1:
-                    out.append(
-                        {"simplex": cid, "rule": "face-count", "detail": f"needs {q + 1} faces"}
-                    )
+                    flag(cid, "face-count", f"needs {q + 1} faces")
                     continue
                 broken = False
                 for i, ref in enumerate(refs):
                     word = ref.degeneracies
                     if any(word[t] <= word[t + 1] for t in range(len(word) - 1)):
-                        out.append(
-                            {
-                                "simplex": cid,
-                                "rule": "canonical-form",
-                                "detail": f"face {i} word not strictly decreasing",
-                            }
-                        )
-                        broken = True
+                        flag(cid, "canonical-form", f"face {i} word not strictly decreasing")
                     elif ref.base not in self.dim_of:
-                        out.append(
-                            {
-                                "simplex": cid,
-                                "rule": "face-target",
-                                "detail": f"face {i} refers to missing cell {ref.base!r}",
-                            }
-                        )
-                        broken = True
+                        missing = quoted(ref.base)
+                        flag(cid, "face-target", f"face {i} refers to missing cell {missing}")
                     elif self.dim_of[ref.base] + len(word) != q - 1:
-                        out.append(
-                            {
-                                "simplex": cid,
-                                "rule": "face-dimension",
-                                "detail": f"face {i} has dimension != {q - 1}",
-                            }
-                        )
-                        broken = True
+                        flag(cid, "face-dimension", f"face {i} has dimension != {q - 1}")
                     elif word and word[0] > q - 2:
                         # s_j needs a source of dimension >= j; strict
                         # decrease then bounds the rest of the word
-                        out.append(
-                            {
-                                "simplex": cid,
-                                "rule": "canonical-form",
-                                "detail": f"face {i} applies s{word[0]} to a {q - 2}-simplex",
-                            }
-                        )
-                        broken = True
+                        detail = f"face {i} applies s{word[0]} to a {q - 2}-simplex"
+                        flag(cid, "canonical-form", detail)
+                    else:
+                        continue
+                    broken = True
                 if broken or q < 2:
                     continue
                 for j in range(q + 1):
@@ -217,13 +191,7 @@ class SimplicialSet:
                         lhs = self.face(self.face(nondegenerate(cid), j), i)
                         rhs = self.face(self.face(nondegenerate(cid), i), j - 1)
                         if lhs != rhs:
-                            out.append(
-                                {
-                                    "simplex": cid,
-                                    "rule": "identity",
-                                    "detail": f"d{i} d{j} != d{j - 1} d{i}",
-                                }
-                            )
+                            flag(cid, "identity", f"d{i} d{j} != d{j - 1} d{i}")
         return out
 
     # -- JSON ----------------------------------------------------------------
@@ -252,7 +220,6 @@ class SimplicialSet:
             raise SchemaViolation('"simplices" must be a nonempty array per dimension')
         cells = []
         faces = {}
-        seen = set()
         for q, level in enumerate(dims):
             if not isinstance(level, list):
                 raise SchemaViolation(f"dimension {q} must be an array")
@@ -263,20 +230,17 @@ class SimplicialSet:
                 cid = entry.get("id")
                 if not isinstance(cid, str) or not cid:
                     raise SchemaViolation(f"simplex in dimension {q} lacks a string id")
-                if cid in seen:
-                    raise SchemaViolation(f"duplicate simplex id {cid!r}", {"id": cid})
-                seen.add(cid)
                 raw = entry.get("faces")
                 if not isinstance(raw, list):
-                    raise SchemaViolation(f"simplex {cid!r} lacks a faces array")
+                    raise SchemaViolation(f"simplex {quoted(cid)} lacks a faces array")
                 if q == 0:
                     if raw:
-                        raise SchemaViolation("vertices have no faces", {"id": cid})
+                        raise SchemaViolation("vertices have no faces", _id_detail(cid))
                 else:
                     if len(raw) != q + 1:
                         raise SchemaViolation(
-                            f"simplex {cid!r} needs {q + 1} faces, got {len(raw)}",
-                            {"id": cid},
+                            f"simplex {quoted(cid)} needs {q + 1} faces, got {len(raw)}",
+                            _id_detail(cid),
                         )
                     parsed = []
                     for i, r in enumerate(raw):
@@ -291,21 +255,27 @@ class SimplicialSet:
 
 def _ref_from_json(cid, i, obj):
     if not isinstance(obj, dict):
-        raise SchemaViolation(f"face {i} of {cid!r} must be an object")
+        raise SchemaViolation(f"face {i} of {quoted(cid)} must be an object")
     word = obj.get("degeneracies")
     base = obj.get("base")
     if not isinstance(word, list) or not all(
         isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in word
     ):
-        raise SchemaViolation(f"face {i} of {cid!r}: degeneracies must be nonnegative ints")
+        raise SchemaViolation(f"face {i} of {quoted(cid)}: degeneracies must be nonnegative ints")
     if any(word[t] <= word[t + 1] for t in range(len(word) - 1)):
         raise SchemaViolation(
-            f"face {i} of {cid!r}: degeneracy word must be strictly decreasing",
-            {"id": cid},
+            f"face {i} of {quoted(cid)}: degeneracy word must be strictly decreasing",
+            _id_detail(cid),
         )
     if not isinstance(base, str) or not base:
-        raise SchemaViolation(f"face {i} of {cid!r}: base must be a cell id")
+        raise SchemaViolation(f"face {i} of {quoted(cid)}: base must be a cell id")
     return SimplexRef(tuple(word), base)
+
+
+def _id_detail(cid):
+    """A report's ``detail`` naming a cell: the id whole up to 20 characters,
+    else as :func:`~loopnil.caps.quoted` shortens it."""
+    return {"id": cid if len(cid) <= 20 else quoted(cid)}
 
 
 def validate(space):
@@ -317,7 +287,7 @@ def require_valid(space):
     bad = space.violations()
     if bad:
         raise IdentityViolation(
-            f"{space.name}: {len(bad)} simplicial violation(s)", {"violations": bad}
+            f"{quoted(space.name)}: {len(bad)} simplicial violation(s)", {"violations": bad}
         )
     return space
 

@@ -15,7 +15,7 @@ each loop group, which checks every degree it reads against its own.
 import math
 import weakref
 
-from .caps import current_caps
+from .caps import current_caps, quoted
 from .errors import InternalInvariantError, LoopnilError
 from .hall import hall_basis, lie_rows, subalphabet_trees, witt_rank
 from .linearize import SimplicialAbelianGroup, moore_homology
@@ -76,7 +76,7 @@ class LoopGroup:
         if q < 0:
             return []
         if q not in self._checked:
-            self.caps.check_degree(q, f"loop group of {self.space.name}")
+            self.caps.check_degree(q, f"loop group of {quoted(self.space.name)}")
             self._checked.add(q)
         gens = self._shared.gens
         if q not in gens:
@@ -160,7 +160,7 @@ class SimplicialGroupTower:
     def __init__(self, group, n):
         if n < 1:
             raise LoopnilError(f"class must be >= 1, got {n}")
-        group.caps.check_class(n, f"tower stage over {group.space.name}")
+        group.caps.check_class(n, f"tower stage over {quoted(group.space.name)}")
         self.group = group
         self.n = n
 
@@ -210,7 +210,7 @@ class LayerObject:
     def __init__(self, group, n):
         if n < 1:
             raise LoopnilError(f"class must be >= 1, got {n}")
-        group.caps.check_class(n, f"layer over {group.space.name}")
+        group.caps.check_class(n, f"layer over {quoted(group.space.name)}")
         self.group = group
         self.n = n
 
@@ -263,9 +263,8 @@ class LayerObject:
             target, words = group.map_words(q, i, "face")
             return lie_rows(words, n, group.gen_count(target), [basis[j] for j in cols])
 
-        return SimplicialAbelianGroup(
-            self.rank, face, name=f"layer {n} of G({group.space.name})", degenerate_fn=degenerate
-        )
+        name = f"layer {n} of G({quoted(group.space.name)})"
+        return SimplicialAbelianGroup(self.rank, face, name=name, degenerate_fn=degenerate)
 
 
 layer = LayerObject
@@ -284,7 +283,7 @@ def layer_homotopy(group, n, s):
     caps = group.caps
     if s < 0:
         raise LoopnilError(f"degree must be >= 0, got {s}")
-    context = f"layer homotopy over {group.space.name}"
+    context = f"layer homotopy over {quoted(group.space.name)}"
     caps.check_degree(s + 1, context)
     lay = LayerObject(group, n)
     if lay.normalized_rank(s):

@@ -323,6 +323,34 @@ def test_usage_error_exit_code(capsys):
         code, out = run_command(argv)
         assert (code, out) == (2, ""), argv
         assert "usage:" in capsys.readouterr().err, argv
+    # a bad integer option is echoed briefly, not whole
+    code, out = run_command(["witt", "--generators", "2", "--class", "9" * 5000])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert "invalid integer" in err and len(err.encode()) < 300
+
+
+_USAGE = {
+    "validate": "usage: loopnil validate [-h] path",
+    "homology": "usage: loopnil homology [-h] --degree DEGREE path",
+    "hall-basis": "usage: loopnil hall-basis [-h] --generators GENERATORS --class CLS",
+    "witt": "usage: loopnil witt [-h] --generators GENERATORS --class CLS",
+    "collect": "usage: loopnil collect [-h] --generators GENERATORS --class CLS --word WORD",
+    "cross-effect": "usage: loopnil cross-effect [-h] --class CLS --ranks RANKS",
+    "nilq": "usage: loopnil nilq [-h] --class CLS path",
+    "loop-group": "usage: loopnil loop-group [-h] --degree DEGREE path",
+    "tower": "usage: loopnil tower [-h] --class CLS {pi0} path",
+    "layer-homotopy": "usage: loopnil layer-homotopy [-h] --class CLS --degree DEGREE path",
+    "fixture-check": "usage: loopnil fixture-check [-h]",
+}
+
+
+@pytest.mark.parametrize("verb", list(_USAGE))
+def test_usage_lines(monkeypatch, verb):
+    # the order of the parent parsers a verb lists is the order of its usage
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out = run_command([verb, "--help"])
+    assert code == 0 and out.splitlines()[0] == _USAGE[verb]
 
 
 def test_degree_cap_exit(monkeypatch):
@@ -733,3 +761,36 @@ def test_cross_effect_rejects_non_integer_ranks():
         "schema",
         "--ranks wants comma-separated integers, got '99999999999999999999'... (5002 characters)",
     )
+
+
+def test_outside_text_is_echoed_briefly(tmp_path):
+    # long ids, space names and input paths are quoted by their first 20
+    # characters and their length, in reports and in messages
+    long = "c" * 5000
+
+    def write(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    star = face([])
+    with open(space("s2.json")) as fh:
+        named = json.load(fh)
+    named["name"] = long
+    named = write("named.json", named)
+    cases = [
+        ["validate", write("dup.json", {"name": "d", "simplices": [
+            [_vertex()], [{"id": long, "faces": [star, star]}] * 2]})],
+        ["validate", write("short.json", {"name": "f", "simplices": [
+            [_vertex()], [{"id": long, "faces": [star]}]]})],
+        ["validate", write("ghost.json", {"name": "g", "simplices": [
+            [_vertex()], [_edge([star, face([], long)])]]})],
+        ["layer-homotopy", named, "--class", "5", "--degree", "1"],
+        ["layer-homotopy", named, "--class", "1", "--degree", "9"],
+        ["tower", "pi0", named, "--class", "5"],
+        ["validate", str(tmp_path / long)],
+    ]
+    for argv in cases:
+        code, out = run_command(argv)
+        assert code in (2, 3) and "characters)" in out, argv[1:]
+        assert len(out.encode()) < 1000, argv[1:]

@@ -234,3 +234,20 @@ def test_json_schema_violations():
     with pytest.raises(SchemaViolation, match="degeneracies must be nonnegative ints"):
         SimplicialSet.from_json(bool_index)
     assert SimplicialSet.from_json(good).violations() == []
+
+
+def test_duplicate_ids_are_one_rule():
+    # direct construction and JSON input are refused by the same check, also
+    # when the two cells lie in different dimensions
+    star = nondegenerate(BASEPOINT)
+    with pytest.raises(SchemaViolation) as direct:
+        SimplicialSet("d", [[BASEPOINT], ["e", "e"]], {"e": (star, star)})
+    edge = {"id": "e", "faces": [{"degeneracies": [], "base": "*"}] * 2}
+    with pytest.raises(SchemaViolation) as parsed:
+        SimplicialSet.from_json({"name": "d", "simplices": [[{"id": "*", "faces": []}], [edge] * 2]})
+    for exc in (direct.value, parsed.value):
+        assert (str(exc), exc.detail) == ("duplicate simplex id 'e'", {"id": "e"})
+    across = sphere(2).to_json()
+    across["simplices"][1] = [edge]
+    with pytest.raises(SchemaViolation, match="duplicate simplex id 'e'"):
+        SimplicialSet.from_json(across)
