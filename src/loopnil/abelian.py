@@ -28,9 +28,5 @@ class AbelianInvariants:
                 raise InternalInvariantError("torsion coefficients must form a divisibility chain")
             prev = t
 
-    @property
-    def is_trivial(self):
-        return self.rank == 0 and not self.torsion
-
     def to_json(self):
         return {"rank": self.rank, "torsion": list(self.torsion)}

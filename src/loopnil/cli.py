@@ -192,10 +192,6 @@ def cmd_cross_effect(args):
         ranks = [ascii_int(tok) for tok in args.ranks.split(",")]
     except ValueError:
         raise SchemaViolation(f"--ranks wants comma-separated integers, got {quoted(args.ranks)}")
-    if len(ranks) != args.cls + 1 or any(r < 1 for r in ranks):
-        raise SchemaViolation(
-            f"--ranks wants {args.cls + 1} positive integers for class {args.cls}"
-        )
     inv = cross_effect_kernel(args.cls, ranks)
     payload = {"class": args.cls, "ranks": ranks, "kernel": inv.to_json()}
     return payload, None, EXIT_OK

@@ -231,12 +231,17 @@ def cross_effect_kernel(n, ranks):
 
     The common kernel of the n+1 collapse maps is the kernel of their
     stacked rows, whatever their signs; kernels of integer matrices are
-    free, so the rank is all there is."""
+    free, so the rank is all there is.
+
+    Needs n >= 1 and n + 1 positive ranks, checked in that order before
+    the class and Witt-rank caps."""
     caps, context = current_caps(), f"cross-effect kernel of Lie_{n}"
-    caps.check_class(n, context)
+    if n < 1:
+        raise LoopnilError(f"class must be >= 1, got {n}")
     ranks = list(ranks)
-    if len(ranks) != n + 1:
-        raise LoopnilError(f"expected {n + 1} ranks, got {len(ranks)}")
+    if len(ranks) != n + 1 or any(r < 1 for r in ranks):
+        raise LoopnilError(f"{context} needs {n + 1} positive ranks")
+    caps.check_class(n, context)
     total = sum(ranks)
     caps.check_layer_rank(f"Witt rank of Lie_{n}(Z^{total})", witt_rank(total, n), context)
     rows, start = [], 0

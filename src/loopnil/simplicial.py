@@ -4,6 +4,12 @@ A q-simplex is a :class:`SimplexRef`: a strictly decreasing degeneracy word
 applied to a nondegenerate base cell.  Faces and degeneracies of arbitrary
 refs are computed by pushing the operator through the word with the
 simplicial identities, so only the faces of nondegenerate cells are stored.
+
+Each rule on a space has one owner: :meth:`SimplicialSet.from_json` checks
+JSON shapes and value types; construction the rules about one cell (unique
+ids, the basepoint alone in dimension 0, q + 1 faces, decreasing words); and
+:meth:`SimplicialSet.violations` how the cells fit together (face targets and
+dimensions, the range of each s_j, the simplicial identities).
 """
 
 import itertools
@@ -72,7 +78,12 @@ class SimplicialSet:
 
     ``cells[q]`` lists nondegenerate q-cell ids (dimension 0 holds only the
     basepoint); ``faces[cid]`` holds the q+1 face refs of each cell of
-    dimension q >= 1.
+    dimension q >= 1, and nothing or an empty entry for the vertex.
+
+    Construction raises :class:`~loopnil.errors.SchemaViolation` on the
+    first broken rule about one cell, ids checked across all dimensions
+    first; :meth:`from_json` owns JSON shapes, :meth:`violations` the rules
+    on how cells fit together.
     """
 
     def __init__(self, name, cells, faces):
@@ -85,6 +96,25 @@ class SimplicialSet:
                 if cid in self.dim_of:
                     raise SchemaViolation(f"duplicate simplex id {quoted(cid)}", _id_detail(cid))
                 self.dim_of[cid] = q
+        if self.cells[:1] != [[BASEPOINT]]:
+            raise SchemaViolation(f'dimension 0 must hold exactly the vertex "{BASEPOINT}"')
+        if self.faces.get(BASEPOINT):
+            raise SchemaViolation("vertices have no faces", _id_detail(BASEPOINT))
+        for q, ids in enumerate(self.cells[1:], 1):
+            for cid in ids:
+                refs = self.faces.get(cid, ())
+                if len(refs) != q + 1:
+                    raise SchemaViolation(
+                        f"simplex {quoted(cid)} needs {q + 1} faces, got {len(refs)}",
+                        _id_detail(cid),
+                    )
+                for i, ref in enumerate(refs):
+                    word = ref.degeneracies
+                    if any(word[t] <= word[t + 1] for t in range(len(word) - 1)):
+                        face = f"face {i} of {quoted(cid)}"
+                        raise SchemaViolation(
+                            f"{face}: degeneracy word must be strictly decreasing", _id_detail(cid)
+                        )
         self._violations = None
 
     # -- enumeration --------------------------------------------------------
@@ -157,21 +187,12 @@ class SimplicialSet:
         def flag(cid, rule, detail):
             out.append({"simplex": cid, "rule": rule, "detail": detail})
 
-        if len(self.cells) == 0 or len(self.cells[0]) != 1:
-            flag(BASEPOINT, "reduced", "exactly one 0-simplex required")
-            return out
         for q in range(1, len(self.cells)):
             for cid in self.cells[q]:
-                refs = self.faces.get(cid)
-                if refs is None or len(refs) != q + 1:
-                    flag(cid, "face-count", f"needs {q + 1} faces")
-                    continue
                 broken = False
-                for i, ref in enumerate(refs):
+                for i, ref in enumerate(self.faces[cid]):
                     word = ref.degeneracies
-                    if any(word[t] <= word[t + 1] for t in range(len(word) - 1)):
-                        flag(cid, "canonical-form", f"face {i} word not strictly decreasing")
-                    elif ref.base not in self.dim_of:
+                    if ref.base not in self.dim_of:
                         missing = quoted(ref.base)
                         flag(cid, "face-target", f"face {i} refers to missing cell {missing}")
                     elif self.dim_of[ref.base] + len(word) != q - 1:
@@ -233,23 +254,9 @@ class SimplicialSet:
                 raw = entry.get("faces")
                 if not isinstance(raw, list):
                     raise SchemaViolation(f"simplex {quoted(cid)} lacks a faces array")
-                if q == 0:
-                    if raw:
-                        raise SchemaViolation("vertices have no faces", _id_detail(cid))
-                else:
-                    if len(raw) != q + 1:
-                        raise SchemaViolation(
-                            f"simplex {quoted(cid)} needs {q + 1} faces, got {len(raw)}",
-                            _id_detail(cid),
-                        )
-                    parsed = []
-                    for i, r in enumerate(raw):
-                        parsed.append(_ref_from_json(cid, i, r))
-                    faces[cid] = tuple(parsed)
+                faces[cid] = tuple(_ref_from_json(cid, i, r) for i, r in enumerate(raw))
                 ids.append(cid)
             cells.append(ids)
-        if len(cells[0]) != 1 or cells[0][0] != BASEPOINT:
-            raise SchemaViolation(f'dimension 0 must hold exactly the vertex "{BASEPOINT}"')
         return cls(name, cells, faces)
 
 
@@ -262,11 +269,6 @@ def _ref_from_json(cid, i, obj):
         isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in word
     ):
         raise SchemaViolation(f"face {i} of {quoted(cid)}: degeneracies must be nonnegative ints")
-    if any(word[t] <= word[t + 1] for t in range(len(word) - 1)):
-        raise SchemaViolation(
-            f"face {i} of {quoted(cid)}: degeneracy word must be strictly decreasing",
-            _id_detail(cid),
-        )
     if not isinstance(base, str) or not base:
         raise SchemaViolation(f"face {i} of {quoted(cid)}: base must be a cell id")
     return SimplexRef(tuple(word), base)

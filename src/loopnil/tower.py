@@ -94,6 +94,8 @@ class LoopGroup:
         A (q+1)-simplex names the generator it is, or the identity when it
         is s0-degenerate; the twisted face (d_1 g)(d_0 g)^-1 is empty
         exactly when both name the same one."""
+        if kind not in ("face", "degeneracy"):
+            raise LoopnilError(f"map kind must be 'face' or 'degeneracy', got {quoted(str(kind))}")
         face = kind == "face"
         if face and not (1 <= q and 0 <= i <= q):
             raise LoopnilError(f"face d_{i} undefined in loop-group degree {q}")
@@ -154,8 +156,9 @@ loop_group = LoopGroup
 
 
 class SimplicialGroupTower:
-    """Degreewise class-n quotients of a loop group with collected face and
-    degeneracy homomorphisms; caps are the loop group's."""
+    """Degreewise class-n quotients of a loop group; each structure map is
+    ``hom_from_words`` over the group's ``map_words``.  Caps are the loop
+    group's."""
 
     def __init__(self, group, n):
         if n < 1:
@@ -163,18 +166,6 @@ class SimplicialGroupTower:
         group.caps.check_class(n, f"tower stage over {quoted(group.space.name)}")
         self.group = group
         self.n = n
-
-    def _hom(self, q, i, kind):
-        """d_i or s_i out of degree q, each generator's word collected by the
-        target's engine under the loop group's caps."""
-        target, words = self.group.map_words(q, i, kind)
-        return hom_from_words(words, self.group.gen_count(target), self.n, self.group.caps)
-
-    def face_hom(self, q, i):
-        return self._hom(q, i, "face")
-
-    def degeneracy_hom(self, q, i):
-        return self._hom(q, i, "degeneracy")
 
     def truncate(self):
         """The stage one class lower; images truncate compatibly."""
@@ -234,18 +225,19 @@ class LayerObject:
 
         Refused before any work when a collection engine it needs is over
         the Hall-rank cap."""
+        group, n = self.group, self.n
         if max_degree >= 1:
-            k = max(self.group.gen_count(q) for q in range(max_degree + 1))
-            check_free_group(self.group.caps, k, self.n)
-        stage = SimplicialGroupTower(self.group, self.n)
+            k = max(group.gen_count(q) for q in range(max_degree + 1))
+            check_free_group(group.caps, k, n)
         maps = [(q, i, "face") for q in range(1, max_degree + 1) for i in range(q + 1)]
         maps += [(q, i, "degeneracy") for q in range(max_degree) for i in range(q + 1)]
 
-        def lie_route(q, i, kind):
-            target, words = self.group.map_words(q, i, kind)
-            return lie_rows(words, self.n, self.group.gen_count(target))
+        def routes_agree(q, i, kind):
+            target, words = group.map_words(q, i, kind)
+            k = group.gen_count(target)
+            return layer_matrix(hom_from_words(words, k, n, group.caps), n) == lie_rows(words, n, k)
 
-        return all(layer_matrix(stage._hom(*m), self.n) == lie_route(*m) for m in maps)
+        return all(routes_agree(*m) for m in maps)
 
     def abelian(self):
         """The Lie-functor side as a simplicial abelian group (the side that

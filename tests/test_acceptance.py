@@ -112,8 +112,8 @@ def test_accept_collection_soundness():
 def test_accept_cross_effect_kernels():
     started = time.monotonic()
     for n in range(1, 5):
-        assert cross_effect_kernel(n, [1] * (n + 1)).is_trivial, n
-    assert cross_effect_kernel(2, [2, 1, 1]).is_trivial
+        assert cross_effect_kernel(n, [1] * (n + 1)) == AbelianInvariants(0), n
+    assert cross_effect_kernel(2, [2, 1, 1]) == AbelianInvariants(0)
     _announce("cross-effect-kernels", started, 10)
 
 
@@ -192,11 +192,11 @@ def test_accept_curtis_probe():
         firsts[n] = None
         for s in range(0, CURTIS_WINDOW + 1):
             inv = layer_homotopy(g, n, s)
-            if s <= 3 or not inv.is_trivial:
+            if s <= 3 or inv != AbelianInvariants(0):
                 # the independent Moore implementation confirms the value
                 # (vanishing included) wherever its plain elimination scales
                 oracle_check(n, s, inv)
-            if not inv.is_trivial:
+            if inv != AbelianInvariants(0):
                 firsts[n] = s
                 assert (inv.rank, inv.torsion) == CURTIS_VALUES[(n, s)], (n, s)
                 break

@@ -426,6 +426,21 @@ def test_cross_effect_rejects_empty_ranks(ranks):
     assert code == 2 and rep["error"]["kind"] == "schema"
 
 
+@pytest.mark.parametrize(
+    "cls, ranks, message",
+    [
+        ("0", "1", "class must be >= 1, got 0"),
+        ("-1", "1", "class must be >= 1, got -1"),
+        ("2", "1,0,1", "cross-effect kernel of Lie_2 needs 3 positive ranks"),
+        ("2", "1,1", "cross-effect kernel of Lie_2 needs 3 positive ranks"),
+    ],
+)
+def test_cross_effect_class_and_ranks_are_checked_by_the_kernel(cls, ranks, message):
+    code, rep = run_json(["cross-effect", "--class", cls, "--ranks", ranks])
+    assert code == 2
+    assert (rep["error"]["kind"], rep["error"]["message"]) == ("schema", message)
+
+
 def test_integer_arguments_take_a_sign():
     code, rep = run_json(["witt", "--generators", "+3", "--class", "2"])
     assert code == 0 and rep["result"] == 3

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from loopnil import hall
+from loopnil.abelian import AbelianInvariants
 
 import oracles
 
@@ -240,10 +241,10 @@ def test_lie_of_map_rejects_a_matrix_of_the_wrong_shape(f, n, src_k, tgt_k, shap
 
 
 def test_cross_effect_kernel_trivial():
-    assert hall.cross_effect_kernel(1, [1, 1]).is_trivial
-    assert hall.cross_effect_kernel(2, [1, 1, 1]).is_trivial
-    assert hall.cross_effect_kernel(3, [1, 1, 1, 1]).is_trivial
-    assert hall.cross_effect_kernel(2, [2, 1, 1]).is_trivial
+    assert hall.cross_effect_kernel(1, [1, 1]) == AbelianInvariants(0)
+    assert hall.cross_effect_kernel(2, [1, 1, 1]) == AbelianInvariants(0)
+    assert hall.cross_effect_kernel(3, [1, 1, 1, 1]) == AbelianInvariants(0)
+    assert hall.cross_effect_kernel(2, [2, 1, 1]) == AbelianInvariants(0)
 
 
 def test_cross_effect_kernel_checks_the_class_cap(monkeypatch):
@@ -253,7 +254,29 @@ def test_cross_effect_kernel_checks_the_class_cap(monkeypatch):
     with pytest.raises(CapExceeded, match="class 5"):
         hall.cross_effect_kernel(5, [1] * 6)
     monkeypatch.setenv("LOOPNIL_MAX_CLASS", "5")
-    assert hall.cross_effect_kernel(5, [1] * 6).is_trivial
+    assert hall.cross_effect_kernel(5, [1] * 6) == AbelianInvariants(0)
+
+
+@pytest.mark.parametrize(
+    "n, ranks, message",
+    [
+        (0, [1], "class must be >= 1, got 0"),
+        (-1, [1], "class must be >= 1, got -1"),
+        (2, [1, 1], "cross-effect kernel of Lie_2 needs 3 positive ranks"),
+        (2, [1, 0, 1], "cross-effect kernel of Lie_2 needs 3 positive ranks"),
+        # a negative rank is bad input, not a broken internal invariant
+        (2, [1, -1, 1], "cross-effect kernel of Lie_2 needs 3 positive ranks"),
+        # checked before the class cap, without echoing the ranks
+        (9, [7] * 9, "cross-effect kernel of Lie_9 needs 10 positive ranks"),
+    ],
+)
+def test_cross_effect_kernel_checks_class_then_ranks(n, ranks, message):
+    from loopnil.errors import InternalInvariantError
+
+    with pytest.raises(hall.LoopnilError) as caught:
+        hall.cross_effect_kernel(n, ranks)
+    assert str(caught.value) == message
+    assert not isinstance(caught.value, InternalInvariantError)
 
 
 def test_cross_effect_kernel_stays_sparse():
@@ -263,7 +286,7 @@ def test_cross_effect_kernel_stays_sparse():
     # collapse maps took about 19 s and 400 MB
     for n, ranks in ((4, [2, 2, 2, 2, 2]), (1, [5000, 5000])):
         started = time.process_time()
-        assert hall.cross_effect_kernel(n, ranks).is_trivial
+        assert hall.cross_effect_kernel(n, ranks) == AbelianInvariants(0)
         assert time.process_time() - started < 2
 
 

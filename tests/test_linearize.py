@@ -119,7 +119,7 @@ def test_moore_homology_evaluates_only_nondegenerate_generators(group_fn, s, wan
 def test_moore_homology_point_trivial():
     a = layer_one(point())
     for s in range(3):
-        assert moore_homology(a, s).is_trivial
+        assert moore_homology(a, s) == AbelianInvariants(0)
 
 
 def test_wedge_homology_is_direct_sum():
@@ -177,7 +177,7 @@ def test_sphere_homology_window():
             if s == n - 1:
                 assert inv == AbelianInvariants(1, ())
             else:
-                assert inv.is_trivial, (n, s)
+                assert inv == AbelianInvariants(0), (n, s)
 
 
 def test_boundary_squared_nonzero_raises():

@@ -251,3 +251,72 @@ def test_duplicate_ids_are_one_rule():
     across["simplices"][1] = [edge]
     with pytest.raises(SchemaViolation, match="duplicate simplex id 'e'"):
         SimplicialSet.from_json(across)
+
+
+def _json_face(word, base=BASEPOINT):
+    return {"degeneracies": list(word), "base": base}
+
+
+@pytest.mark.parametrize(
+    "cells, faces, simplices, message, detail",
+    [
+        # faces on the vertex
+        (
+            [[BASEPOINT]],
+            {BASEPOINT: (nondegenerate(BASEPOINT),)},
+            [[{"id": "*", "faces": [_json_face([])]}]],
+            "vertices have no faces",
+            {"id": "*"},
+        ),
+        # a vertex other than the basepoint
+        (
+            [["v"]],
+            {},
+            [[{"id": "v", "faces": []}]],
+            'dimension 0 must hold exactly the vertex "*"',
+            {},
+        ),
+        # an edge without faces
+        (
+            [[BASEPOINT], ["e"]],
+            {},
+            [[{"id": "*", "faces": []}], [{"id": "e", "faces": []}]],
+            "simplex 'e' needs 2 faces, got 0",
+            {"id": "e"},
+        ),
+        # a face word that does not strictly decrease
+        (
+            [[BASEPOINT], [], ["t"]],
+            {"t": (SimplexRef((0, 1), BASEPOINT),) + (basepoint_ref(1),) * 2},
+            [
+                [{"id": "*", "faces": []}],
+                [],
+                [{"id": "t", "faces": [_json_face([0, 1])] + [_json_face([0])] * 2}],
+            ],
+            "face 0 of 't': degeneracy word must be strictly decreasing",
+            {"id": "t"},
+        ),
+    ],
+)
+def test_per_cell_rules_are_checked_at_construction(cells, faces, simplices, message, detail):
+    # a space built in Python and one read from JSON are refused by the same
+    # check, with the same message and detail
+    with pytest.raises(SchemaViolation) as direct:
+        SimplicialSet("c", cells, faces)
+    with pytest.raises(SchemaViolation) as parsed:
+        SimplicialSet.from_json({"name": "c", "simplices": simplices})
+    for exc in (direct.value, parsed.value):
+        assert (str(exc), exc.detail) == (message, detail)
+
+
+def test_construction_checks_ids_before_cells():
+    # the edge "e" is a duplicate and, read as the 2-cell's faces, would
+    # also have the wrong face count; the duplicate is reported
+    e2 = (basepoint_ref(1),) * 3
+    with pytest.raises(SchemaViolation, match="duplicate simplex id 'e'"):
+        SimplicialSet("d", [[BASEPOINT], ["e"], ["e"]], {"e": e2})
+    # an empty cell list has no basepoint
+    with pytest.raises(SchemaViolation, match="dimension 0 must hold exactly"):
+        SimplicialSet("none", [], {})
+    # the vertex may carry an empty face entry, as JSON input gives it
+    assert validate(SimplicialSet("p", [[BASEPOINT]], {BASEPOINT: ()})) == []
