@@ -17,7 +17,7 @@ import io
 import math
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stdout, suppress
 from pathlib import Path
 
 from .abelian import AbelianInvariants
@@ -189,8 +189,8 @@ def cmd_collect(args):
 
 def cmd_cross_effect(args):
     try:
-        ranks = [ascii_int(tok) for tok in args.ranks.split(",")]
-    except ValueError:
+        ranks = [int_option(tok) for tok in args.ranks.split(",")]
+    except argparse.ArgumentTypeError:
         raise SchemaViolation(f"--ranks wants comma-separated integers, got {quoted(args.ranks)}")
     inv = cross_effect_kernel(args.cls, ranks)
     payload = {"class": args.cls, "ranks": ranks, "kernel": inv.to_json()}
@@ -293,13 +293,13 @@ def cmd_fixture_check(args):
 
 
 def int_option(text):
-    """An integer option in :func:`~loopnil.caps.ascii_int` syntax; bad text
-    is echoed briefly, by :func:`~loopnil.caps.quoted`, in argparse's usage
-    error."""
-    try:
-        return ascii_int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {quoted(text)}") from None
+    """An integer option or ``--ranks`` entry: :func:`~loopnil.caps.ascii_int`
+    syntax, at most 20 digits (what :func:`~loopnil.caps.quoted` echoes
+    whole); bad text is echoed briefly in argparse's usage error."""
+    with suppress(ValueError):
+        if len(text.lstrip("+-")) <= 20:
+            return ascii_int(text)
+    raise argparse.ArgumentTypeError(f"invalid integer {quoted(text)}")
 
 
 def _argument(*names, **kwargs):

@@ -66,7 +66,7 @@ import math
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 from .caps import current_caps, decimal
@@ -490,7 +490,9 @@ def rule_system(k, n, caps=None):
 
     The first use checks the total Hall rank against ``caps``, or against
     the environment's caps when none are given.  Later uses check it only
-    when the caller passes caps, so element arithmetic reads no environment.
+    when the caller passes caps.  Only a group's entry points look it up:
+    an element keeps its engine and layer maps index by Hall bases, so
+    arithmetic, printing and layer maps never look one up again.
     """
     key = (k, n)
     sys = _systems.get(key)
@@ -526,17 +528,20 @@ def invert_free_word(word):
 @dataclass(frozen=True)
 class NilpotentElement:
     """Normal form in the free class-n group on k generators: an exponent
-    vector over its engine's letters, the Hall bases of weights 1..n."""
+    vector over its engine's letters, the Hall bases of weights 1..n.  The
+    ``engine`` is looked up once, on construction, and kept out of equality,
+    hashing and ``repr``: arithmetic, printing and layer maps read it."""
 
     k: int
     n: int
     exponents: tuple
+    engine: RuleSystem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        expected = rule_system(self.k, self.n).rank
-        if len(self.exponents) != expected:
+        object.__setattr__(self, "engine", rule_system(self.k, self.n))
+        if len(self.exponents) != self.engine.rank:
             raise InternalInvariantError(
-                f"exponent vector has length {len(self.exponents)}, expected {expected}"
+                f"exponent vector has length {len(self.exponents)}, expected {self.engine.rank}"
             )
 
     @property
@@ -545,15 +550,14 @@ class NilpotentElement:
 
     def lowest_weight(self):
         """Smallest weight carrying a nonzero exponent; None for the identity."""
-        sys = rule_system(self.k, self.n)
         for i, e in enumerate(self.exponents):
             if e:
-                return sys.weights[i]
+                return self.engine.weights[i]
         return None
 
     def weight_slice(self, w):
         """Exponents over the weight-w letters."""
-        ids = rule_system(self.k, self.n).letters_of_weight(w)
+        ids = self.engine.letters_of_weight(w)
         return list(self.exponents[ids.start : ids.stop])
 
     def word(self):
@@ -563,20 +567,14 @@ class NilpotentElement:
         """Image in the class-m quotient (1 <= m <= n)."""
         if m > self.n:
             raise LoopnilError("cannot truncate upwards")
-        keep = bisect_right(rule_system(self.k, self.n).weights, m)
+        keep = bisect_right(self.engine.weights, m)
         return NilpotentElement(self.k, m, tuple(self.exponents[:keep]))
 
     def to_json(self):
-        sys = rule_system(self.k, self.n)
-        return [
-            {"letter": sys.letter_str(i), "exponent": e}
-            for i, e in enumerate(self.exponents)
-            if e
-        ]
+        return [{"letter": self.engine.letter_str(i), "exponent": e} for i, e in self.word()]
 
     def __str__(self):
-        sys = rule_system(self.k, self.n)
-        parts = [f"{sys.letter_str(i)}^{decimal(e)}" for i, e in self.word()]
+        parts = [f"{self.engine.letter_str(i)}^{decimal(e)}" for i, e in self.word()]
         return " ".join(parts) if parts else "1"
 
 
@@ -611,14 +609,12 @@ def _require_match(u, v):
 
 def nil_multiply(u, v):
     _require_match(u, v)
-    sys = rule_system(u.k, u.n)
-    return NilpotentElement(u.k, u.n, tuple(sys.collect(v.word(), u.exponents)))
+    return NilpotentElement(u.k, u.n, tuple(u.engine.collect(v.word(), u.exponents)))
 
 
 def nil_inverse(u):
     """u^-1 = u^-1 1, by sifting (module docstring)."""
-    sys = rule_system(u.k, u.n)
-    return NilpotentElement(u.k, u.n, tuple(sys.solve(u.exponents, [0] * sys.rank)))
+    return NilpotentElement(u.k, u.n, tuple(u.engine.solve(u.exponents, [0] * u.engine.rank)))
 
 
 def nil_power(u, e):
@@ -644,10 +640,9 @@ def nil_commutator(u, v):
     """[u, v] = u^-1 v^-1 u v, read as (vu)^-1 (uv) by sifting (module
     docstring)."""
     _require_match(u, v)
-    sys = rule_system(u.k, u.n)
-    uv = sys.collect(v.word(), u.exponents)
-    vu = sys.collect(u.word(), v.exponents)
-    return NilpotentElement(u.k, u.n, tuple(sys.solve(vu, uv)))
+    uv = u.engine.collect(v.word(), u.exponents)
+    vu = u.engine.collect(u.word(), v.exponents)
+    return NilpotentElement(u.k, u.n, tuple(u.engine.solve(vu, uv)))
 
 
 # ---------------------------------------------------------------------------
@@ -700,10 +695,11 @@ def projection_hom(s, k, n):
 def hom_from_words(words, tgt_k, n, caps):
     """Homomorphism sending source generator j + 1 to the normal form of
     ``words[j]``, a word of (0-based target generator, exponent) pairs: the
-    format of ``LoopGroup.map_words``.  Both engines are resolved under
-    ``caps``, the source's too, because :func:`layer_matrix` and
-    :func:`apply_hom` look it up without caps."""
-    rule_system(len(words), n, caps)
+    format of ``LoopGroup.map_words``.  The target's engine is resolved
+    under ``caps`` and the source group is checked against them; the
+    source's engine is not built, as elements keep their engines and
+    :func:`layer_matrix` indexes both sides by :func:`hall.hall_basis`."""
+    check_free_group(caps, len(words), n)
     engine = rule_system(tgt_k, n, caps)
     images = tuple(NilpotentElement(tgt_k, n, tuple(engine.collect(w))) for w in words)
     return NilpotentHom(len(words), tgt_k, n, images)
@@ -729,9 +725,8 @@ def apply_hom(f, u):
     word = u.word()
     if not word:
         return identity_element(f.tgt_k, f.n)
-    memo = {}
-    sys = rule_system(u.k, u.n)
-    return reduce(nil_multiply, (nil_power(_tree_image(f, sys.letters[i], memo), e) for i, e in word))
+    memo, letters = {}, u.engine.letters
+    return reduce(nil_multiply, (nil_power(_tree_image(f, letters[i], memo), e) for i, e in word))
 
 
 def compose_homs(g, f):
@@ -747,13 +742,14 @@ def layer_matrix(f, w):
     """The weight-w layer map induced by ``f``, computed by collection, as
     ``{col: value}`` rows of nonzero entries in the format of
     :func:`hall.lie_rows`: one row per target weight-w Hall letter and one
-    column per source weight-w Hall letter."""
-    src_sys = rule_system(f.src_k, f.n)
-    letters = src_sys.letters_of_weight(w)  # refuses a bad weight before rows are sized
+    column per source weight-w Hall letter, both indexed by
+    :func:`hall.hall_basis`, the engines' weight-w letters in order."""
+    if not 1 <= w <= f.n:
+        raise LoopnilError(f"weight {w} out of range 1..{f.n}")
     memo = {}
-    rows = [{} for _ in rule_system(f.tgt_k, f.n).letters_of_weight(w)]
-    for j, i in enumerate(letters):
-        img = _tree_image(f, src_sys.letters[i], memo)
+    rows = [{} for _ in hall_basis(f.tgt_k, w)]
+    for j, tree in enumerate(hall_basis(f.src_k, w)):
+        img = _tree_image(f, tree, memo)
         low = img.lowest_weight()
         if low is not None and low < w:
             raise InternalInvariantError("layer image dropped below its weight")

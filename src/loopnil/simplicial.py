@@ -94,26 +94,29 @@ class SimplicialSet:
         for q, ids in enumerate(self.cells):
             for cid in ids:
                 if cid in self.dim_of:
-                    raise SchemaViolation(f"duplicate simplex id {quoted(cid)}", _id_detail(cid))
+                    raise SchemaViolation(
+                        f"duplicate simplex id {quoted(cid)}", {"id": _short_id(cid)}
+                    )
                 self.dim_of[cid] = q
         if self.cells[:1] != [[BASEPOINT]]:
             raise SchemaViolation(f'dimension 0 must hold exactly the vertex "{BASEPOINT}"')
         if self.faces.get(BASEPOINT):
-            raise SchemaViolation("vertices have no faces", _id_detail(BASEPOINT))
+            raise SchemaViolation("vertices have no faces", {"id": BASEPOINT})
         for q, ids in enumerate(self.cells[1:], 1):
             for cid in ids:
                 refs = self.faces.get(cid, ())
                 if len(refs) != q + 1:
                     raise SchemaViolation(
                         f"simplex {quoted(cid)} needs {q + 1} faces, got {len(refs)}",
-                        _id_detail(cid),
+                        {"id": _short_id(cid)},
                     )
                 for i, ref in enumerate(refs):
                     word = ref.degeneracies
                     if any(word[t] <= word[t + 1] for t in range(len(word) - 1)):
                         face = f"face {i} of {quoted(cid)}"
                         raise SchemaViolation(
-                            f"{face}: degeneracy word must be strictly decreasing", _id_detail(cid)
+                            f"{face}: degeneracy word must be strictly decreasing",
+                            {"id": _short_id(cid)},
                         )
         self._violations = None
 
@@ -185,7 +188,7 @@ class SimplicialSet:
         out = []
 
         def flag(cid, rule, detail):
-            out.append({"simplex": cid, "rule": rule, "detail": detail})
+            out.append({"simplex": _short_id(cid), "rule": rule, "detail": detail})
 
         for q in range(1, len(self.cells)):
             for cid in self.cells[q]:
@@ -274,10 +277,11 @@ def _ref_from_json(cid, i, obj):
     return SimplexRef(tuple(word), base)
 
 
-def _id_detail(cid):
-    """A report's ``detail`` naming a cell: the id whole up to 20 characters,
-    else as :func:`~loopnil.caps.quoted` shortens it."""
-    return {"id": cid if len(cid) <= 20 else quoted(cid)}
+def _short_id(cid):
+    """A cell id in a machine-read record (a ``detail`` or a violation's
+    ``simplex``): whole up to 20 characters, else as
+    :func:`~loopnil.caps.quoted` shortens it."""
+    return cid if len(cid) <= 20 else quoted(cid)
 
 
 def validate(space):

@@ -330,6 +330,32 @@ def test_usage_error_exit_code(capsys):
     assert "invalid integer" in err and len(err.encode()) < 300
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witt", "--generators", "1", "--class", "$C"],
+        ["witt", "--generators", "$C", "--class", "2"],
+        ["hall-basis", "--generators", "2", "--class", "$C"],
+        ["collect", "--generators", "2", "--class", "$C", "--word", "a"],
+        ["cross-effect", "--class", "$C", "--ranks", "1"],
+        ["layer-homotopy", space("s2.json"), "--class", "2", "--degree", "$C"],
+        ["loop-group", space("s2.json"), "--degree", "$C"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_integer_options_longer_than_twenty_digits_are_usage_errors(argv, capsys):
+    # 20 digits, the length a report quotes whole, is the longest integer
+    # option: a class of 10^30 is refused, not answered (k = 1 answers 0)
+    for value in ("9" * 4000, "1" + "0" * 30, "-" + "9" * 21):
+        code, out = run_command([value if a == "$C" else a for a in argv])
+        err = capsys.readouterr().err
+        assert (code, out) == (2, ""), value[:25]
+        assert "invalid integer" in err and len(err.encode()) < 300
+    code, out = run_command(["9" * 20 if a == "$C" else a for a in argv])
+    assert code in (0, 2, 3) and len(out.encode()) < 1000
+    assert "invalid integer" not in capsys.readouterr().err
+
+
 _USAGE = {
     "validate": "usage: loopnil validate [-h] path",
     "homology": "usage: loopnil homology [-h] --degree DEGREE path",
@@ -776,6 +802,12 @@ def test_cross_effect_rejects_non_integer_ranks():
         "schema",
         "--ranks wants comma-separated integers, got '99999999999999999999'... (5002 characters)",
     )
+    # as with integer options, a rank has at most 20 digits
+    for ranks, code_want in (("1," + "9" * 21, 2), ("-" + "9" * 21, 2), ("9" * 20 + ",1", 3)):
+        code, rep = run_json(["cross-effect", "--class", "1", "--ranks", ranks])
+        assert code == code_want, ranks
+        if code == 2:
+            assert rep["error"]["message"].startswith("--ranks wants comma-separated integers")
 
 
 def test_outside_text_is_echoed_briefly(tmp_path):
@@ -793,6 +825,9 @@ def test_outside_text_is_echoed_briefly(tmp_path):
         named = json.load(fh)
     named["name"] = long
     named = write("named.json", named)
+    # a face of the wrong dimension: the violation record names its simplex
+    wrong = write("wrong.json", {"name": "w", "simplices": [
+        [_vertex()], [{"id": long, "faces": [face([0]), star]}]]})
     cases = [
         ["validate", write("dup.json", {"name": "d", "simplices": [
             [_vertex()], [{"id": long, "faces": [star, star]}] * 2]})],
@@ -804,7 +839,18 @@ def test_outside_text_is_echoed_briefly(tmp_path):
         ["layer-homotopy", named, "--class", "1", "--degree", "9"],
         ["tower", "pi0", named, "--class", "5"],
         ["validate", str(tmp_path / long)],
+        ["validate", wrong],
+        ["homology", wrong, "--degree", "1"],
+        ["layer-homotopy", wrong, "--class", "2", "--degree", "1"],
+        ["tower", "pi0", wrong, "--class", "2"],
+        ["loop-group", wrong, "--degree", "1"],
     ]
+    code, rep = run_json(["validate", wrong])
+    assert rep["result"]["violations"] == [{
+        "detail": "face 0 has dimension != 0",
+        "rule": "face-dimension",
+        "simplex": "'cccccccccccccccccccc'... (5000 characters)",
+    }]
     for argv in cases:
         code, out = run_command(argv)
         assert code in (2, 3) and "characters)" in out, argv[1:]

@@ -1,3 +1,4 @@
+import inspect
 import random
 import time
 
@@ -28,6 +29,20 @@ from loopnil.nilpotent import (
 )
 
 import oracles
+
+
+def _count_lookups(monkeypatch):
+    """Route ``nilpotent.rule_system`` through a wrapper that logs the name
+    of each function that calls it."""
+    log = []
+    original = nilpotent.rule_system
+
+    def counted(*args, **kwargs):
+        log.append(inspect.currentframe().f_back.f_code.co_name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nilpotent, "rule_system", counted)
+    return log
 
 
 def random_word(rng, k, syllables=5, max_exp=3):
@@ -68,8 +83,9 @@ def test_group_axioms_small():
 
 
 @pytest.mark.parametrize("k,n", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)])
-def test_group_axioms_random(k, n):
+def test_group_axioms_random(k, n, monkeypatch):
     rng = random.Random(97 * k + n)
+    lookups = _count_lookups(monkeypatch)
     for _ in range(60):
         u = collect(random_word(rng, k), k, n)
         v = collect(random_word(rng, k), k, n)
@@ -77,6 +93,20 @@ def test_group_axioms_random(k, n):
         assert nil_multiply(nil_multiply(u, v), w) == nil_multiply(u, nil_multiply(v, w))
         assert nil_multiply(u, nil_inverse(u)).is_identity
         assert nil_multiply(nil_inverse(u), u).is_identity
+        # an element keeps its engine: an operation looks it up once, to
+        # build its result, and a method that builds none looks up nothing
+        for op, args in [
+            (nil_multiply, (u, v)),
+            (nil_inverse, (u,)),
+            (nil_commutator, (u, v)),
+            (NilpotentElement.truncate, (u, 1)),
+        ]:
+            lookups.clear()
+            op(*args)
+            assert lookups == ["__post_init__"], op
+        lookups.clear()
+        u.lowest_weight(), u.weight_slice(n), u.to_json(), str(u), u.word(), u.is_identity
+        assert lookups == []
 
 
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 2), (3, 4)])
@@ -184,17 +214,22 @@ def test_compose_associative_and_unital():
 
 
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 3), (3, 4)])
-def test_layer_matrix_agrees_with_lie_functor(k, n):
+def test_layer_matrix_agrees_with_lie_functor(k, n, monkeypatch):
     # group-theoretic collection route vs Lie-functor route on every layer
     rng = random.Random(17 * k + n)
+    lookups = _count_lookups(monkeypatch)
     for _ in range(6):
         mat = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
         cols = oracles.word_columns(mat)
         f = hom_from_words(cols, k, n, current_caps())
         for w in range(1, n + 1):
+            lookups.clear()
             grp = layer_matrix(f, w)
             assert grp == hall.lie_rows(cols, w, k), (k, n, w, mat)
             assert oracles.nonzero_rows_below(grp, hall.witt_rank(k, w))
+            # the layer map indexes by Hall bases and looks up no engine;
+            # only the commutator images it builds do, none at weight 1
+            assert set(lookups) <= {"__post_init__"} and (w > 1 or not lookups)
 
 
 def test_layer_matrix_permutation_equivariance():
@@ -223,6 +258,33 @@ def test_engine_shared_whatever_the_cap():
     from loopnil.caps import Caps
 
     assert rule_system(2, 3) is rule_system(2, 3, Caps(max_hall_rank=600))
+
+
+def test_an_element_keeps_its_engine_outside_equality():
+    u = collect([(1, 2), (2, -1), (1, 1)], 2, 3)
+    assert u.engine is rule_system(2, 3)
+    v = NilpotentElement(2, 3, u.exponents)
+    object.__setattr__(v, "engine", None)
+    assert u == v and hash(u) == hash(v) == hash((2, 3, u.exponents))
+    assert repr(u) == f"NilpotentElement(k=2, n=3, exponents={u.exponents!r})"
+
+
+def test_a_homomorphism_builds_no_source_engine(monkeypatch):
+    # a map out of the free group on 5 generators into one on 2: its layer
+    # maps read the source's Hall bases, so only the target's engine is built,
+    # and the source is still checked against the caps
+    from loopnil.caps import Caps
+
+    monkeypatch.setattr(nilpotent, "_systems", {})
+    rng = random.Random(5)
+    mat = [[rng.randint(-2, 2) for _ in range(5)] for _ in range(2)]
+    cols = oracles.word_columns(mat)
+    f = hom_from_words(cols, 2, 3, current_caps())
+    for w in range(1, 4):
+        assert layer_matrix(f, w) == hall.lie_rows(cols, w, 2)
+    assert set(nilpotent._systems) == {(2, 3)}
+    with pytest.raises(CapExceeded, match="free class-3 group on 40 generators"):
+        hom_from_words([()] * 40, 2, 3, Caps(max_hall_rank=100))
 
 
 def test_element_arithmetic_reads_no_caps(monkeypatch):
